@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -174,6 +175,29 @@ class JsonReport {
   std::string name_;
   std::vector<Row> rows_;
 };
+
+/// The environment a bench row was measured in: worker threads, cores,
+/// build type (the CMake build type every bench target is compiled with)
+/// and the checked-out commit (`git rev-parse` in the working directory,
+/// "unknown" outside a git checkout).
+inline JsonReport::Row& add_env_fields(JsonReport::Row& row) {
+  static const std::string commit = [] {
+    std::string id;
+    if (std::FILE* p = ::popen("git rev-parse --short=12 HEAD 2>/dev/null", "r")) {
+      char buf[64] = {};
+      if (std::fgets(buf, sizeof(buf), p) != nullptr) id = buf;
+      ::pclose(p);
+    }
+    while (!id.empty() && (id.back() == '\n' || id.back() == '\r')) id.pop_back();
+    return id.empty() ? std::string("unknown") : id;
+  }();
+  const char* build = PARSH_BENCH_BUILD_TYPE[0] != '\0' ? PARSH_BENCH_BUILD_TYPE
+                                                         : "none";
+  return row.field("threads", num_workers())
+      .field("nproc", static_cast<int>(std::thread::hardware_concurrency()))
+      .field("build_type", build)
+      .field("commit", commit);
+}
 
 inline void print_header(const char* title, const Graph& g, const char* workload_name) {
   std::printf("\n%s\n  workload=%s n=%u m=%llu  (work/rounds are PRAM-style counters;\n"

@@ -25,6 +25,11 @@
 // the clients must recover via retry/reconnect. The bench exits
 // nonzero if any level leaks a connection or fails to shut down clean,
 // which is what the CI smoke step asserts.
+//
+// After the sweep, a durable phase streams updates into a WAL-backed
+// engine, kills and recovers it, then times recovery alone against WAL
+// tails of 8, 64 and 256 records (recovery_ms split into fold_ms and
+// build_ms; it should stay flat as the tail grows).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -207,6 +212,8 @@ struct UpdateStreamStats {
   StatsSnapshot server;
   std::uint64_t wal_bytes = 0;
   double recovery_ms = 0;
+  double recovery_fold_ms = 0;
+  double recovery_build_ms = 0;
   std::uint64_t recovered_replayed = 0;
   std::uint64_t checkpoint_loaded = 0;
   std::uint64_t digest_match = 0;
@@ -408,6 +415,8 @@ UpdateStreamStats run_update_stream(const Graph& g, double eps,
     std::exit(1);
   }
   agg.recovery_ms = rec->recovery().recovery_ms;
+  agg.recovery_fold_ms = rec->recovery().fold_ms;
+  agg.recovery_build_ms = rec->recovery().build_ms;
   agg.recovered_replayed = rec->recovery().replayed;
   agg.checkpoint_loaded = rec->recovery().checkpoint_loaded ? 1 : 0;
   agg.digest_match = (rec->engine().epoch() == epoch &&
@@ -424,6 +433,90 @@ UpdateStreamStats run_update_stream(const Graph& g, double eps,
     std::exit(1);
   }
   return agg;
+}
+
+/// Per-reopening recovery times of one WAL tail.
+struct RecoveryTailStats {
+  std::vector<double> recovery_ms, fold_ms, build_ms;
+};
+
+/// Recovery time against WAL tail length, faults off, no checkpoint. The
+/// tail is written straight through WalWriter — 3-edge insert batches
+/// shaped like the update stream's — so the sweep times recovery alone,
+/// not the update path that would have produced the log; the directory is
+/// then reopened `reopenings` times. Recovery folds the tail and builds
+/// the engine once, so recovery_ms should stay flat as the tail grows.
+/// Every reopening must fold the whole tail into the base graph with the
+/// same deltas applied in order (exit 1 otherwise).
+RecoveryTailStats run_recovery_tail(const Graph& g, double eps,
+                                    std::uint64_t seed, std::uint64_t tail,
+                                    int reopenings) {
+  const char* tmp = std::getenv("TMPDIR");
+  const std::string dir =
+      std::string(tmp && *tmp ? tmp : "/tmp") + "/parsh_bench_recovery";
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  std::filesystem::create_directories(dir, ec);
+
+  DurabilityOptions opt;
+  opt.dir = dir;
+  opt.wal.fsync = FsyncPolicy::kOff;
+  Graph expect = g;
+  {
+    WalWriter w;
+    Status s = w.open(dir, 1, opt.wal);
+    Rng rng(Rng(seed).split(0x7a11));
+    std::uint64_t k = 0;
+    for (std::uint64_t e = 1; s.ok() && e <= tail; ++e) {
+      WalRecord rec;
+      rec.epoch = e;
+      rec.client_id = 1;
+      rec.sequence = e;
+      rec.result.epoch = e;
+      for (int i = 0; i < 3; ++i) {
+        Edge edge;
+        edge.u = static_cast<vid>(rng.uniform_int(k++, g.num_vertices()));
+        edge.v = static_cast<vid>(rng.uniform_int(k++, g.num_vertices()));
+        edge.w = static_cast<weight_t>(1 + rng.uniform_int(k++, 8));
+        if (edge.u != edge.v) rec.delta.insert.push_back(edge);
+      }
+      expect = expect.apply_delta(rec.delta).graph;
+      s = w.append(rec);
+    }
+    if (!s.ok()) {
+      std::fprintf(stderr, "bench_server: recovery tail write: %s\n",
+                   s.to_string().c_str());
+      std::exit(1);
+    }
+  }
+
+  DynamicApproxShortestPaths::Params dp;
+  dp.epsilon = eps;
+  dp.hopset.hopset.seed = seed;
+  const std::uint64_t want = graph_digest(expect);
+  RecoveryTailStats stats;
+  for (int r = 0; r < reopenings; ++r) {
+    std::unique_ptr<Durability> rec;
+    if (Status s = Durability::open(g, dp, opt, &rec); !s.ok()) {
+      std::fprintf(stderr, "bench_server: recovery open: %s\n",
+                   s.to_string().c_str());
+      std::exit(1);
+    }
+    const RecoveryReport& report = rec->recovery();
+    if (report.replayed != tail || rec->engine().epoch() != tail ||
+        graph_digest(rec->engine().snapshot()->graph) != want) {
+      std::fprintf(stderr,
+                   "bench_server: recovering a %llu-record tail did not reach "
+                   "the folded graph\n",
+                   static_cast<unsigned long long>(tail));
+      std::exit(1);
+    }
+    stats.recovery_ms.push_back(report.recovery_ms);
+    stats.fold_ms.push_back(report.fold_ms);
+    stats.build_ms.push_back(report.build_ms);
+  }
+  std::filesystem::remove_all(dir, ec);
+  return stats;
 }
 
 }  // namespace
@@ -506,7 +599,7 @@ int main(int argc, char** argv) {
         .cell(static_cast<std::size_t>(ls.server.queries_degraded))
         .cell(static_cast<std::size_t>(ls.retries))
         .cell(static_cast<std::size_t>(ls.server.faults_injected));
-    report.row()
+    add_env_fields(report.row())
         .field("workload", wl)
         .field("level", label)
         .field("n", static_cast<std::uint64_t>(n))
@@ -544,7 +637,8 @@ int main(int argc, char** argv) {
                         capacity_rps * 0.5);
   const double up_rps = us.wall_s > 0 ? us.updates_ok / us.wall_s : 0;
   Table utable({"updates/s", "upd p50 ms", "upd p99 ms", "qry p99 ms",
-                "wal KiB", "fsyncs", "ckpts", "recover ms", "replayed"});
+                "wal KiB", "fsyncs", "ckpts", "recover ms", "fold ms",
+                "build ms", "replayed"});
   utable.row()
       .cell(up_rps, 1)
       .cell(percentile(us.update_lat_ms, 50), 2)
@@ -554,12 +648,14 @@ int main(int argc, char** argv) {
       .cell(static_cast<std::size_t>(us.server.wal_fsyncs))
       .cell(static_cast<std::size_t>(us.server.checkpoints_written))
       .cell(us.recovery_ms, 1)
+      .cell(us.recovery_fold_ms, 1)
+      .cell(us.recovery_build_ms, 1)
       .cell(static_cast<std::size_t>(us.recovered_replayed));
   utable.print("durable update stream (" + std::to_string(updaters) +
                " updaters, fsync every batch, checkpoint every " +
                std::to_string(checkpoint_every) +
                "), then kill + recovery; digests match");
-  report.row()
+  add_env_fields(report.row())
       .field("workload", wl)
       .field("level", "update-stream")
       .field("n", static_cast<std::uint64_t>(n))
@@ -584,9 +680,49 @@ int main(int argc, char** argv) {
       .field("wal_bytes", us.wal_bytes)
       .field("checkpoints_written", us.server.checkpoints_written)
       .field("recovery_ms", us.recovery_ms)
+      .field("recovery_fold_ms", us.recovery_fold_ms)
+      .field("recovery_build_ms", us.recovery_build_ms)
       .field("recovered_replayed", us.recovered_replayed)
       .field("recovery_checkpoint_loaded", us.checkpoint_loaded)
       .field("recovery_digest_match", us.digest_match);
+
+  // Recovery sweep: the same kill + reopen against ever longer WAL tails,
+  // medians over a few reopenings with the min/max spread.
+  constexpr int kReopenings = 5;
+  Table rtable({"tail records", "recover ms", "min", "max", "fold ms",
+                "build ms"});
+  for (const std::uint64_t tail : {8, 64, 256}) {
+    const RecoveryTailStats rt =
+        run_recovery_tail(g, eps, seed, tail, kReopenings);
+    const auto [lo, hi] =
+        std::minmax_element(rt.recovery_ms.begin(), rt.recovery_ms.end());
+    const double rec_ms = percentile(rt.recovery_ms, 50);
+    const double fold_ms = percentile(rt.fold_ms, 50);
+    const double build_ms = percentile(rt.build_ms, 50);
+    rtable.row()
+        .cell(static_cast<std::size_t>(tail))
+        .cell(rec_ms, 1)
+        .cell(*lo, 1)
+        .cell(*hi, 1)
+        .cell(fold_ms, 1)
+        .cell(build_ms, 1);
+    add_env_fields(report.row())
+        .field("workload", wl)
+        .field("level", "recovery-" + std::to_string(tail))
+        .field("n", static_cast<std::uint64_t>(n))
+        .field("m", static_cast<std::uint64_t>(g.num_edges()))
+        .field("eps", eps)
+        .field("faults_enabled", "false")
+        .field("tail_records", tail)
+        .field("reopenings", kReopenings)
+        .field("recovery_ms", rec_ms)
+        .field("recovery_ms_min", *lo)
+        .field("recovery_ms_max", *hi)
+        .field("recovery_fold_ms", fold_ms)
+        .field("recovery_build_ms", build_ms);
+  }
+  rtable.print("recovery vs WAL tail length (faults off, no checkpoint): "
+               "fold the tail, build the hopset once");
 
   const std::string path = report.save();
   if (!path.empty()) std::printf("wrote %s\n", path.c_str());

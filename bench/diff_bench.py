@@ -46,6 +46,9 @@ KEY_FIELDS = {
     "beta", "weight_ratio", "queries", "pairs", "seed", "updates",
     "batch_edges", "updaters", "checkpoint_every",
 }
+# Provenance recorded on a row but never part of its identity: rows from
+# two commits must still match each other.
+PROVENANCE_FIELDS = {"commit"}
 
 
 def is_time_field(name: str) -> bool:
@@ -64,6 +67,8 @@ def is_rate_field(name: str) -> bool:
 def row_key(row: dict):
     parts = []
     for key in sorted(row):
+        if key in PROVENANCE_FIELDS:
+            continue
         if key in KEY_FIELDS or isinstance(row[key], str):
             parts.append((key, row[key]))
     return tuple(parts)

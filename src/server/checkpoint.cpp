@@ -395,24 +395,24 @@ Status Durability::open(Graph base, DynamicApproxShortestPaths::Params params,
   // 1. Newest valid checkpoint, falling back past corrupt ones.
   LoadedCheckpoint ckpt;
   if (Status s = load_newest_checkpoint(opt.dir, &ckpt); !s.ok()) return s;
-  std::uint64_t epoch = 0;
+  std::uint64_t ckpt_epoch = 0;
+  Graph g = std::move(base);
   if (ckpt.found) {
-    epoch = ckpt.manifest.epoch;
+    ckpt_epoch = ckpt.manifest.epoch;
     d->table_ = std::move(ckpt.manifest.table);
     d->report_.checkpoint_loaded = true;
-    d->report_.checkpoint_epoch = epoch;
-    d->engine_ = std::make_unique<DynamicApproxShortestPaths>(
-        std::move(ckpt.graph), params, epoch);
-  } else {
-    d->engine_ = std::make_unique<DynamicApproxShortestPaths>(std::move(base),
-                                                              params, 0);
+    d->report_.checkpoint_epoch = ckpt_epoch;
+    g = std::move(ckpt.graph);
   }
   d->report_.rejected_checkpoints = ckpt.rejected;
 
-  // 2. Replay the WAL tail. Records at or below the checkpoint epoch are
-  // already folded in; each later record must continue the epoch sequence
-  // exactly (scan_wal_segment enforces continuity within a segment, this
-  // loop enforces it across the checkpoint boundary and segment joins).
+  // 2. Fold the WAL tail into the graph. Records at or below the
+  // checkpoint epoch are already in it; later ones must continue the epoch
+  // sequence exactly (scan_wal_segment checks within a segment, this loop
+  // across the checkpoint boundary and segment joins). The hopset is a
+  // pure function of (graph, params, seed): build only the last one.
+  const auto t_fold = std::chrono::steady_clock::now();
+  std::uint64_t epoch = ckpt_epoch;  // last epoch folded into g
   const std::vector<std::string> segments = list_wal_segments(opt.dir);
   std::uint64_t append_first = epoch + 1;
   bool have_append_target = false;
@@ -427,36 +427,28 @@ Status Durability::open(Graph base, DynamicApproxShortestPaths::Params params,
     }
     bool gap = false;
     for (const WalRecord& rec : scan.records) {
-      if (rec.epoch <= epoch) {
+      if (rec.epoch <= ckpt_epoch) {
         ++d->report_.skipped;
         continue;
       }
-      if (rec.epoch != d->engine_->epoch() + 1) {
+      if (rec.epoch != epoch + 1) {
         gap = true;
         ++d->report_.unreachable;
         continue;
       }
       try {
-        const DynamicApproxShortestPaths::ApplyResult r =
-            d->engine_->apply(rec.delta);
-        if (r.epoch != rec.epoch) {
-          return Status::fail(StatusCode::kInternal,
-                              "wal replay: epoch drift (engine " +
-                                  std::to_string(r.epoch) + ", record " +
-                                  std::to_string(rec.epoch) + ")");
-        }
+        g = g.apply_delta(rec.delta).graph;
       } catch (const std::exception& e) {
         // A checksummed record the recovered graph rejects means the base
         // state does not match the log (wrong dir, wrong base graph).
         return Status::fail(StatusCode::kInternal,
                             std::string("wal replay: ") + e.what());
       }
+      epoch = rec.epoch;
       if (rec.client_id != 0) {
-        ClientEntry entry;
-        entry.sequence = rec.sequence;
-        entry.result = rec.result;
+        ClientEntry& entry = d->table_[rec.client_id];
+        entry = ClientEntry{rec.sequence, rec.result};
         entry.result.id = 0;
-        d->table_[rec.client_id] = std::move(entry);
       }
       ++d->report_.replayed;
     }
@@ -490,9 +482,15 @@ Status Durability::open(Graph base, DynamicApproxShortestPaths::Params params,
     }
     remove_quiet(segments[i]);
   }
-  if (!have_append_target) append_first = d->engine_->epoch() + 1;
+  if (!have_append_target) append_first = epoch + 1;
+  d->report_.fold_ms = ms_since(t_fold);
 
-  // 3. Reopen the log for appending where replay left off.
+  const auto t_build = std::chrono::steady_clock::now();
+  d->engine_ =
+      std::make_unique<DynamicApproxShortestPaths>(std::move(g), params, epoch);
+  d->report_.build_ms = ms_since(t_build);
+
+  // 3. Reopen the log for appending where the fold left off.
   if (Status s = d->wal_.open(opt.dir, append_first, opt.wal); !s.ok()) {
     return s;
   }

@@ -21,9 +21,13 @@
 // and the dynamic engine, and is the single path every accepted update
 // takes: dedup check -> engine apply with the WAL append in the
 // pre-publish seam -> table update -> threshold checkpoint. Recovery
-// (Durability::open) loads the newest valid checkpoint, replays the WAL
-// tail through the same engine, and hands back a serving state
-// bit-identical to an uninterrupted run's — the property
+// (Durability::open) loads the newest valid checkpoint, folds the WAL
+// tail into its graph with Graph::apply_delta (restoring the client
+// table from each record's stored verdict), and builds the engine once
+// from the result: the hopset is a pure function of (graph, params,
+// seed), so the intermediate epochs' hopsets are never needed. The
+// serving state is bit-identical to an uninterrupted run's, which
+// applied every batch incrementally — the property
 // tests/test_durability.cpp's kill-mid-batch harness pins.
 #pragma once
 
@@ -129,16 +133,18 @@ struct RecoveryReport {
   bool checkpoint_loaded = false;
   std::uint64_t checkpoint_epoch = 0;
   std::uint64_t rejected_checkpoints = 0;  ///< corrupt newer ones skipped
-  std::uint64_t replayed = 0;              ///< WAL records re-applied
+  std::uint64_t replayed = 0;              ///< WAL records folded in
   std::uint64_t skipped = 0;               ///< records at/below the checkpoint
   std::uint64_t torn_bytes = 0;            ///< truncated from the tail segment
   std::uint64_t unreachable = 0;           ///< records stranded past mid-log damage
-  double recovery_ms = 0;
+  double fold_ms = 0;      ///< WAL scan + apply_delta fold
+  double build_ms = 0;     ///< the one engine (hopset) build
+  double recovery_ms = 0;  ///< checkpoint load + fold_ms + build_ms
 };
 
 class Durability {
  public:
-  /// Open `opt.dir`, recover (checkpoint + WAL replay), build the engine.
+  /// Open `opt.dir`, recover (checkpoint + WAL fold), build the engine.
   /// `base`/`params` seed the state when the directory holds no
   /// checkpoint — they must be the same every run (the WAL does not store
   /// the base graph).

@@ -72,12 +72,12 @@ class DynamicApproxShortestPaths {
   /// Build the first snapshot from g. Params are normalized here once
   /// (the zeta defaulting the static engine's ctor does) so every later
   /// rebuild sees the identical parameter set. `initial_epoch` seats the
-  /// epoch counter: 0 for a fresh engine, the checkpoint's epoch when the
-  /// durability layer rebuilds an engine from a recovered graph (hopset
-  /// state is a pure function of (graph, params, seed) — the PR 9
-  /// differential harness pins from-scratch == incremental — so replaying
-  /// the WAL tail from here reproduces the uninterrupted snapshots
-  /// bit-identically).
+  /// epoch counter: 0 for a fresh engine, the last recovered epoch when
+  /// the durability layer builds an engine from a checkpoint graph with
+  /// the WAL tail already folded in. Hopset state is a pure function of
+  /// (graph, params, seed) — tests/test_dynamic.cpp pins from-scratch ==
+  /// incremental — so that one build reproduces the uninterrupted run's
+  /// snapshot bit-identically.
   DynamicApproxShortestPaths(Graph g, Params params, std::uint64_t initial_epoch = 0);
 
   /// The current published snapshot. Hold the returned pointer for the

@@ -894,5 +894,146 @@ TEST(Recovery, TornTailOnDiskIsTruncatedAndAppendedAfter) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Recovery, LongTailFoldsThenBuildsOnce) {
+  // The uninterrupted twin applies 64 batches incrementally; its WAL is
+  // then rewritten into a crash image whose tail spans a segment rotation
+  // and has no checkpoint in front of it.
+  const std::string twin_dir = temp_dir("long_tail_twin");
+  const std::string dir = temp_dir("long_tail");
+  const std::uint64_t client = 0x10a6;
+  constexpr std::uint64_t kRecords = 64;
+  std::unique_ptr<Durability> twin;
+  ASSERT_TRUE(Durability::open(base_graph(), dyn_params(),
+                               dur_options(twin_dir), &twin)
+                  .ok());
+  for (std::uint64_t seq = 1; seq <= kRecords; ++seq) {
+    UpdateResponse resp;
+    twin->handle_update(make_batch(12, seq, client), &resp);
+    ASSERT_EQ(resp.status, StatusCode::kOk);
+  }
+  std::vector<WalRecord> log;
+  for (const std::string& seg : list_wal_segments(twin_dir)) {
+    WalScan scan;
+    ASSERT_TRUE(scan_wal_segment(seg, &scan).ok());
+    log.insert(log.end(), scan.records.begin(), scan.records.end());
+  }
+  ASSERT_EQ(log.size(), kRecords);
+  {
+    std::filesystem::create_directories(dir);
+    WalWriter w;
+    ASSERT_TRUE(w.open(dir, 1, WalOptions{FsyncPolicy::kOff, 8}).ok());
+    for (const WalRecord& rec : log) {
+      if (rec.epoch == kRecords / 2 + 1) {
+        ASSERT_TRUE(w.rotate(rec.epoch).ok());
+      }
+      ASSERT_TRUE(w.append(rec).ok());
+    }
+  }
+  ASSERT_EQ(list_wal_segments(dir).size(), 2u);
+
+  std::unique_ptr<Durability> recovered;
+  ASSERT_TRUE(
+      Durability::open(base_graph(), dyn_params(), dur_options(dir), &recovered)
+          .ok());
+  const RecoveryReport& rep = recovered->recovery();
+  EXPECT_FALSE(rep.checkpoint_loaded);
+  EXPECT_EQ(rep.replayed, kRecords);
+  EXPECT_EQ(rep.unreachable, 0u);
+  EXPECT_EQ(recovered->engine().epoch(), kRecords);
+  // Built once from the folded graph: no apply() ever ran on it.
+  EXPECT_EQ(recovered->engine().rebuilds(), 0u);
+  EXPECT_EQ(recovered->engine().full_rebuilds(), 0u);
+  EXPECT_EQ(graph_digest(recovered->engine().snapshot()->graph),
+            graph_digest(twin->engine().snapshot()->graph));
+  EXPECT_EQ(query_digest(*recovered), query_digest(*twin));
+  expect_tables_equal(recovered->client_table(), twin->client_table());
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(twin_dir);
+}
+
+TEST(Recovery, RecordTheGraphRejectsMidTailIsATypedError) {
+  // A checksummed record the recovered graph cannot take means the log
+  // does not belong to this base state: record k of N names an endpoint
+  // outside the 100-vertex base graph. (A non-positive weight never gets
+  // this far: the record decoder refuses it and the scan stops there.)
+  constexpr std::uint64_t kRecords = 6, kBad = 4;
+  const Edge bad_edges[] = {{0, 100, 1.0},    // endpoint == n
+                            {4000, 7, 2.0}};  // endpoint far past n
+  for (const Edge& bad : bad_edges) {
+    SCOPED_TRACE(std::to_string(bad.u) + "-" + std::to_string(bad.v));
+    const std::string dir = temp_dir("rejected_record");
+    std::filesystem::create_directories(dir);
+    {
+      WalWriter w;
+      ASSERT_TRUE(w.open(dir, 1, WalOptions{FsyncPolicy::kOff, 8}).ok());
+      for (std::uint64_t e = 1; e <= kRecords; ++e) {
+        WalRecord rec = make_record(e, 0xbad, e);
+        if (e == kBad) rec.delta.insert = {bad};
+        ASSERT_TRUE(w.append(rec).ok());
+      }
+    }
+    std::unique_ptr<Durability> d;
+    const Status s =
+        Durability::open(base_graph(), dyn_params(), dur_options(dir), &d);
+    EXPECT_EQ(s.code, StatusCode::kInternal);
+    EXPECT_EQ(s.message.rfind("wal replay:", 0), 0u) << s.message;
+    EXPECT_EQ(d, nullptr);
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(Recovery, EpochGapMidTailStopsAtLastContiguousEpoch) {
+  const std::string dir = temp_dir("epoch_gap");
+  std::filesystem::create_directories(dir);
+  const std::uint64_t client = 0x6a9;
+  {
+    // Epochs 1..4, then a segment that starts at 7: 5 and 6 are missing.
+    WalWriter w;
+    ASSERT_TRUE(w.open(dir, 1, WalOptions{FsyncPolicy::kOff, 8}).ok());
+    for (std::uint64_t e = 1; e <= 4; ++e) {
+      ASSERT_TRUE(w.append(make_record(e, client, e)).ok());
+    }
+    WalWriter stranded;
+    ASSERT_TRUE(stranded.open(dir, 7, WalOptions{FsyncPolicy::kOff, 8}).ok());
+    for (std::uint64_t e = 7; e <= 9; ++e) {
+      ASSERT_TRUE(stranded.append(make_record(e, client, e)).ok());
+    }
+  }
+  ASSERT_EQ(list_wal_segments(dir).size(), 2u);
+
+  Graph expect = base_graph();
+  for (std::uint64_t e = 1; e <= 4; ++e) {
+    expect = expect.apply_delta(make_record(e, client, e).delta).graph;
+  }
+  std::unique_ptr<Durability> d;
+  ASSERT_TRUE(
+      Durability::open(base_graph(), dyn_params(), dur_options(dir), &d).ok());
+  EXPECT_EQ(d->engine().epoch(), 4u);
+  EXPECT_EQ(d->recovery().replayed, 4u);
+  EXPECT_EQ(d->recovery().unreachable, 3u);
+  EXPECT_EQ(graph_digest(d->engine().snapshot()->graph), graph_digest(expect));
+  EXPECT_EQ(d->client_table()[client].sequence, 4u);
+  const auto segs = list_wal_segments(dir);
+  ASSERT_EQ(segs.size(), 1u);
+  EXPECT_EQ(std::filesystem::path(segs[0]).filename().string(),
+            wal_segment_name(1));
+
+  // The next update continues at epoch 5 and survives another reopening
+  // with no stranded epochs left to interleave with.
+  UpdateResponse resp;
+  d->handle_update(make_batch(13, 5, client), &resp);
+  ASSERT_EQ(resp.status, StatusCode::kOk);
+  EXPECT_EQ(resp.epoch, 5u);
+  d.reset();
+  std::unique_ptr<Durability> again;
+  ASSERT_TRUE(
+      Durability::open(base_graph(), dyn_params(), dur_options(dir), &again)
+          .ok());
+  EXPECT_EQ(again->engine().epoch(), 5u);
+  EXPECT_EQ(again->recovery().replayed, 5u);
+  EXPECT_EQ(again->recovery().unreachable, 0u);
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace parsh::server

@@ -13,7 +13,8 @@
 // instant the kill lands — between batches, inside a WAL append, inside
 // a checkpoint — is the crash image --recover starts from.
 //
-// --recover opens the directory (checkpoint load + WAL replay), reads
+// --recover opens the directory (checkpoint load + WAL tail fold, one
+// engine build; it prints the fold/build split of the recovery time), reads
 // the recovered epoch E, then builds an uninterrupted twin IN PROCESS by
 // applying the first E batches of the same stream to a fresh durable
 // engine in a scratch directory, and compares:
@@ -170,10 +171,10 @@ int recover(const StreamConfig& sc, const std::string& dir) {
   const std::uint64_t epoch = d->engine().epoch();
   std::printf("recovered: epoch %" PRIu64 " ckpt %s@%" PRIu64
               " replayed %" PRIu64 " skipped %" PRIu64 " torn %" PRIu64
-              "B rejected %" PRIu64 " in %.1f ms\n",
+              "B rejected %" PRIu64 " in %.1f ms (fold %.1f ms, build %.1f ms)\n",
               epoch, rep.checkpoint_loaded ? "yes" : "no", rep.checkpoint_epoch,
               rep.replayed, rep.skipped, rep.torn_bytes, rep.rejected_checkpoints,
-              rep.recovery_ms);
+              rep.recovery_ms, rep.fold_ms, rep.build_ms);
 
   // The uninterrupted twin: same stream, first `epoch` batches, no crash.
   const std::string twin_dir = dir + ".twin";
