@@ -222,7 +222,7 @@ int main(int argc, char** argv) {
     const Run run = best_of(reps, [&] { c = est_cluster(gz, beta, seed, ws); });
     char detail[96];
     std::snprintf(detail, sizeof detail, "identical=%d compressed_rounds=%" PRIu64,
-                  same_clustering(c, flat_c) ? 1 : 0, ws.compressed_rounds());
+                  same_clustering(c, flat_c) ? 1 : 0, ws.stats().compressed_rounds);
     add_row("est_cluster", "compressed", run.seconds, 0, peak_rss_kb(), 0,
             static_cast<double>(gz.adjacency_bytes()) /
                 static_cast<double>(gz.num_arcs() ? gz.num_arcs() : 1),

@@ -224,7 +224,8 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
 
   // The packed fast path needs every via id representable in 24 bits
   // (kPackedNoVia is reserved for kNoVertex).
-  const bool via_packs = !ws.force_three_phase_ &&
+  RoundStats& stats = ws.relaxer_.stats();
+  const bool via_packs = !ws.relaxer_.policy().three_phase &&
                          static_cast<std::uint64_t>(n) <= kPackedNoVia;
 
   vid assigned = 0;
@@ -269,16 +270,14 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
   // (deterministic) round contents, so counters match at every thread
   // count; output is bit-identical either way because both paths compute
   // the same (key, via) argmin.
-  const std::size_t seq_threshold =
-      ws.force_parallel_rounds_ ? 0 : FrontierRelaxer::kSequentialRoundEdges;
+  const std::size_t seq_threshold = ws.relaxer_.seq_threshold();
   // Per-stage chunk for the proposal-indexed phases below.
   constexpr std::size_t kStageGrain = 512;
 
   // One persistent parallel region for the whole drain (one fork/join
   // total instead of ~5 per round); every phase below is a
-  // barrier-separated Team stage. force_fork_join pins the historical
-  // per-phase fork-join scheduling instead.
-  Team::drive(!ws.force_fork_join_, [&](Team& team) {
+  // barrier-separated Team stage.
+  Team::drive([&](Team& team) {
     std::uint64_t round_key;
     while (assigned < n && (round_key = engine.pop_round(team, props)) != kNoBucket) {
       round_key -= cal_off;  // back to the true time floor(key)
@@ -316,7 +315,7 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
             }
           }
           if (live == 0) continue;  // a fully-stale bucket is not a round
-          ++ws.packed_rounds_;
+          ++stats.packed_rounds;
           for (const EstProposal& p : props) {
             if (best_packed[p.v].load(std::memory_order_relaxed) ==
                 pack_key_via(p.key, base_bits, p.via)) {
@@ -335,7 +334,7 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
             }
           }
           if (live == 0) continue;  // a fully-stale bucket is not a round
-          ++ws.fallback_rounds_;
+          ++stats.fallback_rounds;
           for (const EstProposal& p : props) {
             if (alive(p) &&
                 p.key == best_key[p.v].load(std::memory_order_relaxed) &&
@@ -354,7 +353,7 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
             best_via[p.v].store(kNoVertex, std::memory_order_relaxed);
           }
         }
-        ++ws.sequential_rounds_;
+        ++stats.sequential_rounds;
       } else if (packed) {
         team.loop(0, props.size(), kStageGrain, [&](std::size_t i) {
           const EstProposal& p = props[i];
@@ -364,8 +363,8 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
         });
         live = tally.drain();
         if (live == 0) continue;  // a fully-stale bucket is not a round
-        ++ws.packed_rounds_;
-        ++ws.team_rounds_;
+        ++stats.packed_rounds;
+        ++stats.team_rounds;
         team.loop(0, props.size(), kStageGrain, [&](std::size_t i) {
           const EstProposal& p = props[i];
           if (best_packed[p.v].load(std::memory_order_relaxed) ==
@@ -385,8 +384,8 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
         });
         live = tally.drain();
         if (live == 0) continue;  // a fully-stale bucket is not a round
-        ++ws.fallback_rounds_;
-        ++ws.team_rounds_;
+        ++stats.fallback_rounds;
+        ++stats.team_rounds;
         team.loop(0, props.size(), kStageGrain, [&](std::size_t i) {
           const EstProposal& p = props[i];
           if (alive(p) && p.key == best_key[p.v].load(std::memory_order_relaxed)) {
@@ -489,7 +488,7 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
         return deg;
       };
       ws.relaxer_.relax(
-          team, newly, g.num_vertices(), g.num_arcs(), seq_threshold,
+          team, newly, g.num_vertices(), g.num_arcs(),
           [&](std::size_t i) { return static_cast<std::size_t>(g.degree(newly[i])); },
           expand_with([&](std::uint64_t b, EstProposal p) {
             engine.push(b, std::move(p));
@@ -498,7 +497,7 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
             engine.push_from_worker(b, std::move(p));
           }),
           pull_expand);
-      if (!g.has_flat_adjacency()) ++ws.compressed_rounds_;
+      if (!g.has_flat_adjacency()) ++stats.compressed_rounds;
       wd::add_work(tally.drain());
     }
   });

@@ -24,10 +24,12 @@
 //  * a degree-aware FrontierRelaxer that schedules one round's edge
 //    relaxations adaptively: bounded EDGE ranges dynamically claimed by
 //    the team's workers (a skewed frontier — one hub vertex carrying most
-//    of the round's edges — still spreads across all workers), a
-//    whole-vertex stage for mid-size rounds, and a sequential fast path
-//    (one worker, plain writes, direct pushes) below
-//    kSequentialRoundEdges.
+//    of the round's edges — still spreads across all workers), and a
+//    sequential fast path (one worker, plain writes, direct pushes) at or
+//    below kSequentialRoundEdges;
+//  * RoundPolicy / RoundStats: the round-scheduling seams every driver
+//    reads and the round counters every driver writes, owned by the
+//    relaxer so both workspaces share one definition.
 //
 // Keys must never fall behind the engine's current base (the key of the
 // last popped round): all consumers emit at key + w with w >= 0.
@@ -393,6 +395,45 @@ class BucketEngine {
   std::atomic<std::uint64_t> alloc_events_{0};
 };
 
+/// The settable round-scheduling seams of one workspace. Every combination
+/// yields bit-identical output (the determinism contract,
+/// docs/ARCHITECTURE.md); they choose which path runs, for the
+/// equivalence tests and the PARSH_FORCE_PULL CI lane.
+struct RoundPolicy {
+  enum class Direction { kAuto, kPush, kPull };
+  /// Resolve every (key, via) min-reduce with the three-phase fallback
+  /// even when the round's keys would fit the packed word.
+  bool three_phase = false;
+  /// Run every round through the team stages: no sequential fast path.
+  bool parallel_rounds = false;
+  /// Push/pull choice for direction-capable rounds; kAuto follows the
+  /// hysteresis. Defaults to kPull when PARSH_FORCE_PULL is set (nonempty,
+  /// not "0"), so the dense path runs even on test graphs too small to
+  /// trip the threshold organically.
+  Direction direction = env_direction();
+
+  static Direction env_direction() {
+    const char* e = std::getenv("PARSH_FORCE_PULL");
+    return e != nullptr && e[0] != '\0' && e[0] != '0' ? Direction::kPull
+                                                        : Direction::kAuto;
+  }
+};
+
+/// Round counters of one workspace, cumulative across runs. Deterministic
+/// in the inputs and the RoundPolicy, independent of thread count.
+struct RoundStats {
+  std::uint64_t packed_rounds = 0;       ///< reduces on the packed word
+  std::uint64_t fallback_rounds = 0;     ///< reduces on the three-phase path
+  std::uint64_t sequential_rounds = 0;   ///< rounds run wholly on the driver
+  std::uint64_t team_rounds = 0;         ///< rounds run as team stages
+  std::uint64_t compressed_rounds = 0;   ///< relax rounds on compressed adjacency
+  std::uint64_t edge_grain_rounds = 0;   ///< push rounds as stolen edge ranges
+  std::uint64_t pull_rounds = 0;         ///< relax rounds run pull (bitmap)
+  std::uint64_t pull_edges_scanned = 0;  ///< edges the pull scans examined
+
+  bool operator==(const RoundStats&) const = default;
+};
+
 /// Adaptive degree-aware work distribution for one round's edge
 /// relaxations, with direction-optimized (push/pull) dense rounds.
 ///
@@ -406,9 +447,9 @@ class BucketEngine {
 /// runs them as one dynamically-claimed stage of the caller's Team — each
 /// worker takes the next unclaimed range as it goes idle, so a hub's
 /// adjacency is relaxed by many workers at once. Rounds whose edge total
-/// is at most the caller's seq_threshold instead run entirely on the
-/// driver thread through a dedicated sequential body (plain writes,
-/// direct calendar pushes — the adaptive sequential round fast path; see
+/// is at most seq_threshold() instead run entirely on the driver thread
+/// through a dedicated sequential body (plain writes, direct calendar
+/// pushes — the adaptive sequential round fast path; see
 /// docs/ARCHITECTURE.md "Round scheduling").
 ///
 /// Direction optimization (Beamer-style push/pull switching): the
@@ -437,10 +478,10 @@ class BucketEngine {
 /// resolve concurrent writes with the order-independent CRCW min-reduces
 /// in parallel/atomics.hpp (their sequential bodies computing the same
 /// argmin with plain writes), so output is bit-identical across
-/// sequential / vertex-grain / edge-grain / pull scheduling and across
-/// thread counts (pinned by tests/test_work_stealing.cpp,
+/// sequential / edge-grain / pull scheduling and across thread counts
+/// (pinned by tests/test_work_stealing.cpp,
 /// tests/test_direction_optimizing.cpp and the TeamRounds suite, via the
-/// force_vertex_grain / force_push / force_pull hooks).
+/// RoundPolicy seams).
 ///
 /// Reuse: the prefix-sum scratch and the frontier bitmap are grown
 /// monotonically and never shrunk (warm calls allocate nothing);
@@ -449,23 +490,11 @@ class BucketEngine {
 /// chain, owned by the workspaces alongside their engines.
 class FrontierRelaxer {
  public:
-  FrontierRelaxer() {
-    // Env seam for CI's pull-forced ctest lane (like OMP_NUM_THREADS):
-    // defaults every direction decision to pull so the dense path runs
-    // even on test graphs too small to trip the threshold organically.
-    // Explicit force_push()/force_pull() calls override it.
-    if (const char* e = std::getenv("PARSH_FORCE_PULL");
-        e != nullptr && e[0] != '\0' && e[0] != '0') {
-      force_pull_ = true;
-    }
-  }
-
   /// Target edges per stolen range. Small enough that a 10^5-degree hub
   /// splits across every worker, large enough that the per-range queue
   /// traffic (one dynamic-schedule dequeue) stays amortized.
   static constexpr std::size_t kEdgeGrain = 2048;
-  /// Frontier chunk handed to a worker on the whole-vertex path (the
-  /// pre-existing grain of the consumers' expansion loops).
+  /// Candidate chunk per dynamically-claimed iteration of the pull scan.
   static constexpr std::size_t kVertexGrain = 64;
   /// Default adaptive threshold: a round whose frontier edge total is at
   /// most this runs entirely on one worker (the sequential fast path —
@@ -503,23 +532,19 @@ class FrontierRelaxer {
     bool pull = false;
   };
 
-  /// Test hook mirroring the workspaces' force_three_phase: always take
-  /// the (parallel) whole-vertex path — no stolen edge ranges and no
-  /// sequential fast path. Takes precedence over the direction hooks.
-  void force_vertex_grain(bool on) { force_vertex_grain_ = on; }
+  /// The round seams the owning workspace's drivers read, and the round
+  /// counters they (and relax()) write.
+  [[nodiscard]] RoundPolicy& policy() { return policy_; }
+  [[nodiscard]] const RoundPolicy& policy() const { return policy_; }
+  [[nodiscard]] RoundStats& stats() { return stats_; }
+  [[nodiscard]] const RoundStats& stats() const { return stats_; }
 
-  /// Direction hooks mirroring force_vertex_grain: pin every
-  /// direction-capable round to push / to pull regardless of the
-  /// edge-fraction heuristic (push-vs-pull bit-equality tests, and the
-  /// PARSH_FORCE_PULL CI lane). Forcing one direction clears the other;
-  /// an explicit force_push(true) beats the env default.
-  void force_push(bool on) {
-    force_push_ = on;
-    if (on) force_pull_ = false;
-  }
-  void force_pull(bool on) {
-    force_pull_ = on;
-    if (on) force_push_ = false;
+  /// The adaptive sequential-round threshold: a round of at most this
+  /// many items (frontier edges here, proposals in the drivers' reduces)
+  /// runs wholly on the driver thread. 0 under policy().parallel_rounds,
+  /// which disables the fast path outright — even for empty rounds.
+  [[nodiscard]] std::size_t seq_threshold() const {
+    return policy_.parallel_rounds ? 0 : kSequentialRoundEdges;
   }
 
   /// Reset the direction hysteresis for a fresh run (drivers call this
@@ -535,19 +560,6 @@ class FrontierRelaxer {
     pull_enter_div_ = enter_div;
     pull_exit_div_ = exit_div;
   }
-
-  /// Rounds scheduled as stolen edge ranges / as whole vertices /
-  /// entirely on one worker via the sequential fast path / as pull
-  /// (bitmap) rounds (cumulative; diagnostics and tests). Every relax()
-  /// call lands in exactly one.
-  [[nodiscard]] std::uint64_t edge_grain_rounds() const { return edge_grain_rounds_; }
-  [[nodiscard]] std::uint64_t vertex_grain_rounds() const { return vertex_grain_rounds_; }
-  [[nodiscard]] std::uint64_t sequential_rounds() const { return sequential_rounds_; }
-  [[nodiscard]] std::uint64_t pull_rounds() const { return pull_rounds_; }
-  /// Edges examined by pull-round candidate scans (cumulative; the
-  /// direction heuristic's payoff is this growing slower than the pushed
-  /// frontier edge totals it replaced).
-  [[nodiscard]] std::uint64_t pull_edges_scanned() const { return pull_edges_scanned_; }
 
   /// True iff `u` is in the current pull round's frontier bitmap. Valid
   /// only inside a pull body.
@@ -574,16 +586,14 @@ class FrontierRelaxer {
   /// and cover each edge exactly once.
   ///
   /// The round is scheduled adaptively, all choices depending only on
-  /// (frontier, degrees, seq_threshold) — never on the schedule — so the
-  /// plan and the counters are deterministic:
-  ///  * edge total <= seq_threshold: `seq_body` runs for every frontier
+  /// (frontier, degrees, policy) — never on the schedule — so the plan
+  /// and the counters are deterministic:
+  ///  * edge total <= seq_threshold(): `seq_body` runs for every frontier
   ///    vertex on the calling thread. It may use plain (non-atomic)
   ///    writes and direct engine pushes — no other thread touches shared
-  ///    state during the round. Pass seq_threshold = 0 to disable (the
-  ///    workspaces' force_parallel_rounds hook).
-  ///  * otherwise `par_body` runs inside `team` stages (one stolen-range
-  ///    stage above kEdgeGrain, a whole-vertex stage below) and must only
-  ///    write through atomics / per-worker state.
+  ///    state during the round.
+  ///  * otherwise `par_body` runs inside one stolen-range `team` stage
+  ///    and must only write through atomics / per-worker state.
   /// Both bodies must perform the same per-edge effect; every consumer
   /// funnels concurrent effects through order-independent CRCW reduces,
   /// so which body ran is unobservable in the output (the determinism
@@ -591,26 +601,12 @@ class FrontierRelaxer {
   ///
   /// Call from the driver thread, between rounds.
   template <typename TeamLike, typename Deg, typename SeqBody, typename ParBody>
-  RoundPlan relax(TeamLike& team, std::size_t frontier, std::size_t seq_threshold,
-                  Deg&& degree_of, SeqBody&& seq_body, ParBody&& par_body) {
+  RoundPlan relax(TeamLike& team, std::size_t frontier, Deg&& degree_of,
+                  SeqBody&& seq_body, ParBody&& par_body) {
     if (frontier == 0) return {0, false};
-    if (force_vertex_grain_) {
-      // Test-only path: plain degree pass for the total (the scan does
-      // not run here), then the parallel whole-vertex schedule.
-      std::size_t total = 0;
-      for (std::size_t i = 0; i < frontier; ++i) {
-        total += static_cast<std::size_t>(degree_of(i));
-      }
-      record_(total);
-      ++vertex_grain_rounds_;
-      team.loop(0, frontier, kVertexGrain, [&](std::size_t i) {
-        par_body(i, std::size_t{0}, static_cast<std::size_t>(degree_of(i)));
-      });
-      return {total, false};
-    }
     const std::size_t total = scan_degrees_(team, frontier, degree_of);
     record_(total);
-    return push_round_(team, frontier, total, seq_threshold, seq_body, par_body);
+    return push_round_(team, frontier, total, seq_body, par_body);
   }
 
   /// Direction-aware relax(): the same contract as above, plus the pull
@@ -624,29 +620,23 @@ class FrontierRelaxer {
   /// stages and must only write through atomics / per-worker state.
   ///
   /// Direction is decided from the (deterministic) edge total before the
-  /// sequential fast path, so a dense round never falls into the
-  /// sequential push body just because a caller passed a big threshold.
+  /// sequential fast path, so a dense round on a small graph runs pull
+  /// even when its edge total would fit the fast path.
   template <typename TeamLike, typename Deg, typename SeqBody, typename ParBody,
             typename PullBody>
   RoundPlan relax(TeamLike& team, const std::vector<vid>& frontier,
                   std::size_t num_vertices, std::uint64_t num_arcs,
-                  std::size_t seq_threshold, Deg&& degree_of, SeqBody&& seq_body,
-                  ParBody&& par_body, PullBody&& pull_body) {
+                  Deg&& degree_of, SeqBody&& seq_body, ParBody&& par_body,
+                  PullBody&& pull_body) {
     if (frontier.empty()) return {0, false, false};
-    if (force_vertex_grain_) {
-      // The vertex-grain test seam pins the push scheduler outright.
-      return relax(team, frontier.size(), seq_threshold, degree_of, seq_body,
-                   par_body);
-    }
     const std::size_t total = scan_degrees_(team, frontier.size(), degree_of);
     record_(total);
     if (decide_direction_(total, num_vertices, num_arcs)) {
-      ++pull_rounds_;
+      ++stats_.pull_rounds;
       run_pull_(team, frontier, num_vertices, pull_body);
       return {total, false, true};
     }
-    return push_round_(team, frontier.size(), total, seq_threshold, seq_body,
-                       par_body);
+    return push_round_(team, frontier.size(), total, seq_body, par_body);
   }
 
  private:
@@ -654,30 +644,18 @@ class FrontierRelaxer {
   /// already holds the frontier's degree scan and `total` its sum.
   template <typename TeamLike, typename SeqBody, typename ParBody>
   RoundPlan push_round_(TeamLike& team, std::size_t frontier, std::size_t total,
-                        std::size_t seq_threshold, SeqBody& seq_body,
-                        ParBody& par_body) {
-    // seq_threshold == 0 disables the fast path outright (the
-    // force_parallel_rounds hook) — even for empty rounds.
-    if (seq_threshold != 0 && total <= seq_threshold) {
+                        SeqBody& seq_body, ParBody& par_body) {
+    const std::size_t seq = seq_threshold();
+    if (seq != 0 && total <= seq) {
       // The adaptive sequential fast path: one worker, no staging, no
       // atomics needed by the body.
-      ++sequential_rounds_;
       for (std::size_t i = 0; i < frontier; ++i) {
         const std::size_t deg = prefix_[i + 1] - prefix_[i];
         if (deg != 0) seq_body(i, std::size_t{0}, deg);
       }
       return {total, true};
     }
-    if (total <= kEdgeGrain) {
-      // One range's worth of edges: the split cannot help, and the
-      // whole-vertex path skips the chunk queue.
-      ++vertex_grain_rounds_;
-      team.loop(0, frontier, kVertexGrain, [&](std::size_t i) {
-        par_body(i, std::size_t{0}, prefix_[i + 1] - prefix_[i]);
-      });
-      return {total, false};
-    }
-    ++edge_grain_rounds_;
+    ++stats_.edge_grain_rounds;
     const std::size_t chunks = (total + kEdgeGrain - 1) / kEdgeGrain;
     team.loop(0, chunks, 1, [&](std::size_t c) {
       const std::size_t e0 = c * kEdgeGrain;
@@ -692,7 +670,6 @@ class FrontierRelaxer {
     return {total, false};
   }
 
- private:
   void record_(std::size_t total) {
     if (round_edges_sink_ != nullptr) round_edges_sink_->push_back(total);
   }
@@ -741,9 +718,9 @@ class FrontierRelaxer {
     return running;
   }
 
-  /// Hysteresis state machine for the push/pull decision, then the force
-  /// overrides. The state advances on EVERY direction-capable round (the
-  /// forces only mask the outcome), so lifting a force mid-run leaves the
+  /// Hysteresis state machine for the push/pull decision, then the policy
+  /// override. The state advances on EVERY direction-capable round (a
+  /// forced direction only masks the outcome), so lifting it mid-run leaves the
   /// same state an unforced run would have — and the inputs (round edge
   /// totals, m) are schedule-independent, so the decision is bit-stable
   /// across thread counts.
@@ -765,8 +742,11 @@ class FrontierRelaxer {
     } else {
       pull_mode_ = total >= exit;
     }
-    if (force_push_) return false;
-    if (force_pull_) return true;
+    switch (policy_.direction) {
+      case RoundPolicy::Direction::kPush: return false;
+      case RoundPolicy::Direction::kPull: return true;
+      case RoundPolicy::Direction::kAuto: break;
+    }
     return pull_mode_;
   }
 
@@ -774,7 +754,7 @@ class FrontierRelaxer {
   /// all vertices, clear the bitmap (touching only the set words, so the
   /// clear costs O(frontier), not O(n)). All three loops are team stages —
   /// never nested parallel_for — so the round works identically inside a
-  /// persistent team and under the fork-join shim.
+  /// persistent team and inline.
   template <typename TeamLike, typename PullBody>
   void run_pull_(TeamLike& team, const std::vector<vid>& frontier,
                  std::size_t num_vertices, PullBody& pull_body) {
@@ -806,7 +786,7 @@ class FrontierRelaxer {
     team.loop(0, frontier.size(), kBitGrain, [&](std::size_t i) {
       bitmap_[frontier[i] >> 6].store(0, std::memory_order_relaxed);
     });
-    pull_edges_scanned_ += pull_tally_.drain();
+    stats_.pull_edges_scanned += pull_tally_.drain();
   }
 
   std::vector<std::size_t> prefix_;     // exclusive degree prefix sums
@@ -815,18 +795,12 @@ class FrontierRelaxer {
   WorkerCounter pull_tally_;            // per-worker pull edge-scan counts
   std::size_t pull_tally_workers_ = static_cast<std::size_t>(num_workers());
   std::vector<std::size_t>* round_edges_sink_ = nullptr;  // bench histogram
-  std::uint64_t edge_grain_rounds_ = 0;
-  std::uint64_t vertex_grain_rounds_ = 0;
-  std::uint64_t sequential_rounds_ = 0;
-  std::uint64_t pull_rounds_ = 0;
-  std::uint64_t pull_edges_scanned_ = 0;
+  RoundPolicy policy_;
+  RoundStats stats_;
   std::uint64_t pull_enter_div_ = kPullEnterDivisor;
   std::uint64_t pull_exit_div_ = kPullExitDivisor;
   std::uint64_t alloc_events_ = 0;
   bool pull_mode_ = false;
-  bool force_vertex_grain_ = false;
-  bool force_push_ = false;
-  bool force_pull_ = false;
 };
 
 }  // namespace parsh

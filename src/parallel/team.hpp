@@ -2,16 +2,13 @@
 //
 // The round-synchronous drivers (est_cluster's proposal loop,
 // delta_stepping's bucket loop, level-synchronous BFS, hop-limited
-// Bellman-Ford) used to execute every per-round phase — priority-write
-// min-reduce, winner settlement, frontier expansion, staging flush — as its
-// own OpenMP `parallel for`. That is one fork + one join per phase, ~5 per
-// round, hundreds of rounds per run: at small round sizes the fork/join
-// overhead dominates and multi-threaded runs LOSE to one thread (the
-// `speedup_vs_1t < 1` rows in BENCH_est_cluster.json before this change).
+// Bellman-Ford) run every per-round phase — priority-write min-reduce,
+// winner settlement, frontier expansion, staging flush — inside ONE
+// parallel region for the whole drain loop, instead of one OpenMP
+// `parallel for` (one fork + one join) per phase, ~5 per round, hundreds
+// of rounds per run:
 //
-// Team replaces that with ONE parallel region for the whole drain loop:
-//
-//   Team::drive(persistent, [&](Team& team) {
+//   Team::drive([&](Team& team) {
 //     while (...) {            // sequential control flow, thread 0 only
 //       team.loop(0, n, grain, body);   // one barrier-separated stage
 //       ...                    // pop / scan / sort between stages
@@ -21,11 +18,9 @@
 // Thread 0 runs the driver's sequential control flow; the other region
 // threads park in a serve loop and execute stages the driver publishes.
 // A stage is a dynamically-chunked for-loop (workers claim `grain`-sized
-// chunks from a shared cursor — the same work-stealing the fork-join path
-// got from `schedule(dynamic, chunk)`), followed by a completion barrier:
-// loop() returns only after every chunk ran, so stages are exactly the
-// barrier-separated phases of the fork-join formulation, minus the
-// per-phase thread fork/join.
+// chunks from a shared cursor, like `schedule(dynamic, chunk)`), followed
+// by a completion barrier: loop() returns only after every chunk ran, so
+// stages are barrier-separated phases without a per-phase fork/join.
 //
 // Synchronization is three std::atomics (stage sequence, chunk cursor,
 // completion count) with acquire/release pairing — every write a stage
@@ -34,15 +29,12 @@
 // briefly and then futex-park (std::atomic::wait), so an oversubscribed
 // machine degrades to roughly sequential speed instead of thrashing.
 //
-// Modes, all producing bit-identical consumer output (the consumers only
+// Two modes, producing bit-identical consumer output (the consumers only
 // run order-independent CRCW reduces / first-writer claims inside stages):
-//  * persistent = true, >1 worker available, not already inside a parallel
-//    region: the real thing described above.
-//  * persistent = false (the workspaces' force_fork_join test hook): no
-//    region is opened; loop() falls back to parallel_for_grain, i.e. the
-//    historical fork-join-per-phase behavior.
+//  * >1 worker available, not already inside a parallel region: the
+//    persistent team described above.
 //  * one worker, OpenMP absent, or already nested inside a parallel region
-//    (a pool fan-out, the hopset recursion): driver runs inline and
+//    (a pool fan-out, the hopset recursion): the driver runs inline and
 //    loop() degenerates to a plain sequential loop — the outer layer owns
 //    the parallelism.
 //
@@ -69,19 +61,9 @@ class Team {
   Team(const Team&) = delete;
   Team& operator=(const Team&) = delete;
 
-  /// How loop() schedules its iterations.
-  enum class Mode {
-    kSequential,  ///< plain loop on the calling thread (1 worker, nested
-                  ///< inside an outer parallel region, or more workers
-                  ///< configured than processors exist)
-    kForkJoin,    ///< parallel_for_grain per stage — the historical
-                  ///< per-phase fork-join (the force_fork_join hook)
-    kPersistent,  ///< stages served by the parked worker team
-  };
-
-  /// Run `driver(team)` with a persistent worker team when `persistent`
-  /// is set and the runtime can actually provide one (OpenMP, >1 thread,
-  /// not already inside a parallel region); otherwise inline.
+  /// Run `driver(team)` with a persistent worker team when the runtime
+  /// can provide one (OpenMP, >1 thread, not already inside a parallel
+  /// region); otherwise inline.
   ///
   /// The team is sized min(omp_get_max_threads(), omp_get_num_procs()):
   /// a barrier-synchronized compute team never benefits from more workers
@@ -90,15 +72,9 @@ class Team {
   /// The cap changes scheduling only — consumer output is thread-count-
   /// invariant by the determinism contract.
   template <typename Driver>
-  static void drive(bool persistent, Driver&& driver) {
+  static void drive(Driver&& driver) {
     Team team;
 #ifdef PARSH_HAVE_OPENMP
-    if (!persistent) {
-      // The force_fork_join hook: the historical per-phase fork-join.
-      team.mode_ = Mode::kForkJoin;
-      driver(team);
-      return;
-    }
     const int forced = forced_width_ref_();
     int cap = forced > 0 ? forced : detail::fork_width();
     // Never wider than num_workers(): every consumer sizes its per-worker
@@ -111,9 +87,9 @@ class Team {
 #pragma omp parallel num_threads(cap)
       {
         if (omp_get_thread_num() == 0) {
-          // The region may have been granted fewer threads than asked.
+          // The region may have been granted fewer threads than asked;
+          // a team of one runs inline like the no-region case.
           team.nthreads_ = omp_get_num_threads();
-          team.mode_ = team.nthreads_ > 1 ? Mode::kPersistent : Mode::kSequential;
           try {
             driver(team);
           } catch (...) {
@@ -128,13 +104,12 @@ class Team {
       return;
     }
 #endif
-    (void)persistent;
     driver(team);
   }
 
   /// True when a real worker team is parked behind this object (stages
-  /// will run across threads). False in every inline/fork-join mode.
-  [[nodiscard]] bool persistent() const { return mode_ == Mode::kPersistent; }
+  /// will run across threads). False in the inline mode.
+  [[nodiscard]] bool persistent() const { return nthreads_ > 1; }
 
   /// Test hook: force the persistent team width (0 = automatic,
   /// min(omp_get_max_threads(), omp_get_num_procs())). Lets the stage
@@ -146,7 +121,7 @@ class Team {
   /// Scheduling only — output is width-invariant.
   static void force_width(int width) { forced_width_ref_() = width; }
 
-  /// Threads in the team (1 in the inline modes).
+  /// Threads in the team (1 in the inline mode).
   [[nodiscard]] int size() const { return nthreads_ > 1 ? nthreads_ : 1; }
 
   /// One barrier-separated stage: apply `f(i)` for i in [begin, end),
@@ -155,24 +130,13 @@ class Team {
   /// (their writes visible to the caller). Call from the driver thread
   /// only; `grain` is also the cutoff below which the stage runs inline
   /// on the driver (waking workers for a handful of items costs more than
-  /// the items). Outside a persistent team this is parallel_for_grain —
-  /// the historical fork-join phase.
+  /// the items). Outside a persistent team (one worker, or nested inside
+  /// an outer parallel region) it is a plain loop on the calling thread.
   template <typename F>
   void loop(std::size_t begin, std::size_t end, std::size_t grain, F f) {
     if (end <= begin) return;
     if (grain == 0) grain = 1;
-    if (mode_ == Mode::kSequential) {
-      // One worker (or nested inside an outer parallel region, or the
-      // configured thread count exceeds the machine): a plain loop, with
-      // no fork the runtime would have to serialize anyway.
-      for (std::size_t i = begin; i < end; ++i) f(i);
-      return;
-    }
-    if (mode_ == Mode::kForkJoin) {
-      parallel_for_grain(begin, end, grain, f);
-      return;
-    }
-    if (end - begin <= grain) {
+    if (nthreads_ <= 1 || end - begin <= grain) {
       for (std::size_t i = begin; i < end; ++i) f(i);
       return;
     }
@@ -274,7 +238,6 @@ class Team {
   }
 
   int nthreads_ = 1;
-  Mode mode_ = Mode::kSequential;
   std::atomic<std::uint64_t> seq_{0};   // stage sequence number
   std::atomic<bool> stop_{false};       // drain loop finished
   std::atomic<std::size_t> cursor_{0};  // next unclaimed iteration

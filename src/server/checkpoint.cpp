@@ -420,6 +420,9 @@ Status Durability::open(Graph base, DynamicApproxShortestPaths::Params params,
   for (std::size_t i = 0; i < segments.size(); ++i) {
     WalScan scan;
     Status s = scan_wal_segment(segments[i], &scan);
+    // A checksummed record that does not decode is corruption, not a torn
+    // tail: refuse, like a record the graph rejects below.
+    if (s.code == StatusCode::kInternal) return s;
     if (!s.ok()) {
       // Header-corrupt segment: nothing in it (or after it) is reachable.
       dead_from = i;

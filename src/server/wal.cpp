@@ -460,11 +460,12 @@ Status scan_wal_segment(const std::string& path, WalScan* out) {
       break;
     }
     WalRecord rec;
-    Status s = decode_wal_record(payload, len, &rec);
-    if (!s.ok()) {
-      stop("undecodable record");
-      out->torn_reason += ": " + s.message;
-      break;
+    if (Status s = decode_wal_record(payload, len, &rec); !s.ok()) {
+      // The checksum matched, so these are the bytes the writer wrote: a
+      // torn write cannot produce this. Corruption, never a tail to cut.
+      return Status::fail(StatusCode::kInternal,
+                          "wal record corrupt at byte " + std::to_string(off) +
+                              " of " + path + ": " + s.message);
     }
     if (rec.epoch != expect_epoch) {
       stop("epoch discontinuity");

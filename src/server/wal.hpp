@@ -19,7 +19,10 @@
 // (bad marker, impossible length, checksum mismatch, short payload): a
 // record is replayed whole or not at all, never partially. Whatever
 // follows the valid prefix is a torn tail from a mid-append crash; the
-// recoverer ftruncates it away and the writer appends after it.
+// recoverer ftruncates it away and the writer appends after it. A record
+// whose checksum matches but whose payload does not decode is not a tear
+// (a torn write cannot match FNV-1a-64): the scan fails with kInternal and
+// recovery refuses the directory, truncating nothing.
 //
 // All integers little-endian fixed-width, doubles IEEE-754 bit patterns —
 // the same conventions as the wire protocol and the PCSR file format.
@@ -243,10 +246,13 @@ struct WalScan {
   std::string torn_reason;          ///< why the scan stopped, when it did
 };
 
-/// Scan a segment file. Only an unreadable file or an invalid segment
-/// HEADER is an error; torn/corrupt records make a kOk scan with
-/// torn=true. A header-corrupt file reports kInvalidArgument and a
-/// valid_bytes of 0 — recovery truncates to zero and re-headers.
+/// Scan a segment file. Torn records (bad marker or length, checksum
+/// mismatch, short payload) make a kOk scan with torn=true. Errors: an
+/// unreadable file; an invalid segment HEADER (kInvalidArgument and a
+/// valid_bytes of 0 — recovery truncates to zero and re-headers); and a
+/// checksummed record that does not decode (kInternal, `records` and
+/// `valid_bytes` covering the prefix before it — corruption, which
+/// recovery reports instead of cutting).
 [[nodiscard]] Status scan_wal_segment(const std::string& path, WalScan* out);
 
 /// Drop a torn tail: ftruncate `path` to `valid_bytes`.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "hopset/hopset.hpp"
-#include "parallel/parallel_for.hpp"
 #include "sssp/hop_limited.hpp"
 
 namespace parsh {
@@ -91,23 +90,9 @@ ApproxShortestPaths::QueryResult ApproxShortestPaths::query(
   return out;
 }
 
-ApproxShortestPaths::QueryResult ApproxShortestPaths::query(vid s, vid t,
-                                                            SsspWorkspace& ws) const {
-  return query(s, t, ws, QueryOptions{});
-}
-
 ApproxShortestPaths::QueryResult ApproxShortestPaths::query(vid s, vid t) const {
   SsspWorkspace ws;
   return query(s, t, ws);
-}
-
-std::vector<ApproxShortestPaths::QueryResult> ApproxShortestPaths::query_batch(
-    const std::vector<QueryPair>& pairs, SsspWorkspace& ws) const {
-  std::vector<QueryResult> out(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    out[i] = query(pairs[i].first, pairs[i].second, ws);
-  }
-  return out;
 }
 
 std::vector<ApproxShortestPaths::QueryResult> ApproxShortestPaths::query_batch(
@@ -128,25 +113,6 @@ std::vector<ApproxShortestPaths::QueryResult> ApproxShortestPaths::query_batch(
     out[i] = query(pairs[i].first, pairs[i].second, ws, opts);
   }
   return out;
-}
-
-std::vector<ApproxShortestPaths::QueryResult> ApproxShortestPaths::query_batch(
-    const std::vector<QueryPair>& pairs, SsspWorkspacePool& pool) const {
-  pool.prepare();
-  std::vector<QueryResult> out(pairs.size());
-  // One request per iteration: each worker serves its share of the batch
-  // through its own workspace, so requests never contend and every answer
-  // is the same as the sequential path's.
-  parallel_for_grain(0, pairs.size(), 1, [&](std::size_t i) {
-    out[i] = query(pairs[i].first, pairs[i].second, pool.local());
-  });
-  return out;
-}
-
-std::vector<ApproxShortestPaths::QueryResult> ApproxShortestPaths::query_batch(
-    const std::vector<QueryPair>& pairs) const {
-  SsspWorkspacePool pool;
-  return query_batch(pairs, pool);
 }
 
 ApproxShortestPaths::AllResult ApproxShortestPaths::query_all(vid s,

@@ -14,8 +14,7 @@
 // Serving: every per-scale sweep runs on an SsspWorkspace, so a
 // long-lived server thread reuses one workspace across requests and warm
 // queries perform zero traversal-engine heap allocations. query_batch is
-// the request-batch form: sequential over one workspace, or parallel
-// across a workspace pool (one workspace per OpenMP worker).
+// the request-batch form, answered in order through one workspace.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +27,27 @@
 #include "util/deadline.hpp"
 
 namespace parsh {
+
+/// Per-query serving knobs of ApproxShortestPaths (its QueryOptions).
+/// Defaults reproduce the plain query exactly. Declared at namespace scope
+/// so member functions can take `opts = {}` as a default argument.
+struct ApproxQueryOptions {
+  /// Cooperative cancellation budget, polled between scales and between
+  /// hop rounds inside each scale. On expiry the query unwinds with a
+  /// partial, deadline_exceeded-flagged answer instead of blocking.
+  Deadline deadline = Deadline::never();
+  /// Graceful degradation tier: skip the `skip_scales` finest distance
+  /// scales (clamped so at least one scale is always served). Skipped
+  /// fine scales are where short-range accuracy and most out-of-scale
+  /// round cost live, so tier t trades precision on short distances for
+  /// a cheaper query. Stretch contract of tier t (see degraded_slack()):
+  /// a query whose matching scale is still served keeps the (1+eps)
+  /// target; one whose distance D falls below the finest served scale's
+  /// band is answered by that scale with
+  ///   estimate <= (1+eps) * D + degraded_slack() * d_first
+  /// where d_first is the finest served scale's lower bound.
+  std::size_t skip_scales = 0;
+};
 
 class ApproxShortestPaths {
  public:
@@ -67,53 +87,26 @@ class ApproxShortestPaths {
     bool degraded = false;
   };
 
-  /// Per-query serving knobs. Defaults reproduce the plain query exactly.
-  struct QueryOptions {
-    /// Cooperative cancellation budget, polled between scales and between
-    /// hop rounds inside each scale. On expiry the query unwinds with a
-    /// partial, deadline_exceeded-flagged answer instead of blocking.
-    Deadline deadline = Deadline::never();
-    /// Graceful degradation tier: skip the `skip_scales` finest distance
-    /// scales (clamped so at least one scale is always served). Skipped
-    /// fine scales are where short-range accuracy and most out-of-scale
-    /// round cost live, so tier t trades precision on short distances for
-    /// a cheaper query. Stretch contract of tier t (see degraded_slack()):
-    /// a query whose matching scale is still served keeps the (1+eps)
-    /// target; one whose distance D falls below the finest served scale's
-    /// band is answered by that scale with
-    ///   estimate <= (1+eps) * D + degraded_slack() * d_first
-    /// where d_first is the finest served scale's lower bound.
-    std::size_t skip_scales = 0;
-  };
+  using QueryOptions = ApproxQueryOptions;
 
-  /// Approximate dist(s, t).
+  /// Approximate dist(s, t), on a fresh workspace.
   [[nodiscard]] QueryResult query(vid s, vid t) const;
   /// Workspace form: all traversal state lives in `ws`; warm calls
-  /// allocate nothing. Results are identical to the plain form.
-  [[nodiscard]] QueryResult query(vid s, vid t, SsspWorkspace& ws) const;
-  /// Serving form: deadline-checked, degradable. With default options
-  /// this is exactly the workspace form.
+  /// allocate nothing. With default options the result is identical to
+  /// the plain form; `opts` makes it deadline-checked and degradable.
   [[nodiscard]] QueryResult query(vid s, vid t, SsspWorkspace& ws,
-                                  const QueryOptions& opts) const;
+                                  const QueryOptions& opts = {}) const;
 
-  /// An s-t request batch, answered in order. The workspace overload runs
-  /// the batch sequentially through one workspace (the deterministic-reuse
-  /// path a single server thread uses); the pool overload fans the batch
-  /// out across workers, one workspace each.
+  /// An s-t request batch, answered in order through one workspace (the
+  /// deterministic-reuse path a server thread uses). The batch shares one
+  /// budget: the deadline is also checked between requests — once it
+  /// expires, the remaining requests return immediately as
+  /// deadline_exceeded partials (estimate infinite) rather than blocking
+  /// the worker on work nobody will wait for.
   using QueryPair = std::pair<vid, vid>;
   [[nodiscard]] std::vector<QueryResult> query_batch(
-      const std::vector<QueryPair>& pairs) const;
-  [[nodiscard]] std::vector<QueryResult> query_batch(
-      const std::vector<QueryPair>& pairs, SsspWorkspace& ws) const;
-  [[nodiscard]] std::vector<QueryResult> query_batch(
-      const std::vector<QueryPair>& pairs, SsspWorkspacePool& pool) const;
-  /// Serving form: the batch shares one budget. The deadline is also
-  /// checked between requests — once it expires, the remaining requests
-  /// return immediately as deadline_exceeded partials (estimate infinite)
-  /// rather than blocking the worker on work nobody will wait for.
-  [[nodiscard]] std::vector<QueryResult> query_batch(
       const std::vector<QueryPair>& pairs, SsspWorkspace& ws,
-      const QueryOptions& opts) const;
+      const QueryOptions& opts = {}) const;
 
   /// Batch form: approximate distances from s to every vertex (one
   /// hop-budgeted sweep per scale; unreachable stays kInfWeight). This is

@@ -16,11 +16,10 @@ namespace parsh {
 namespace {
 
 /// Workspace state one BFS run threads through the level loop (references
-/// into the friend-accessible SsspWorkspace members, snapshot hooks, and
-/// the run's base stamp).
+/// into the friend-accessible SsspWorkspace members and the run's base
+/// stamp).
 struct BfsCtx {
   const Graph& g;
-  SsspWorkspace::RoundHooks hooks;
   BucketEngine<vid>& engine;
   FrontierRelaxer& relaxer;
   std::vector<vid>& frontier;
@@ -59,7 +58,8 @@ vid run_bfs(BfsCtx ctx, vid max_levels, NextStamp next_stamp, Finalize finalize)
   std::vector<std::atomic<vid>>& best_via = ctx.best_via;
   const std::uint64_t run_base = ctx.run_base;
   vid level = 0;
-  Team::drive(!ctx.hooks.force_fork_join, [&](Team& team) {
+  RoundStats& stats = ctx.relaxer.stats();
+  Team::drive([&](Team& team) {
     std::uint64_t key;
     while ((key = ctx.engine.pop_round(team, frontier)) != kNoBucket) {
       if (level >= max_levels) break;
@@ -134,7 +134,6 @@ vid run_bfs(BfsCtx ctx, vid max_levels, NextStamp next_stamp, Finalize finalize)
       ctx.newly.clear();
       const auto plan = ctx.relaxer.relax(
           team, frontier, g.num_vertices(), g.num_arcs(),
-          ctx.hooks.seq_threshold,
           [&](std::size_t i) {
             return static_cast<std::size_t>(g.degree(frontier[i]));
           },
@@ -174,8 +173,8 @@ vid run_bfs(BfsCtx ctx, vid max_levels, NextStamp next_stamp, Finalize finalize)
         team.loop(0, ctx.newly.size(), std::size_t{512},
                   [&](std::size_t i) { finalize(ctx.newly[i], next_level); });
       }
-      ++(plan.sequential ? *ctx.hooks.sequential_rounds : *ctx.hooks.team_rounds);
-      if (!g.has_flat_adjacency()) ++*ctx.hooks.compressed_rounds;
+      ++(plan.sequential ? stats.sequential_rounds : stats.team_rounds);
+      if (!g.has_flat_adjacency()) ++stats.compressed_rounds;
       wd::add_work(plan.edges);  // the relaxer's prefix scan summed degrees
     }
   });
@@ -201,7 +200,6 @@ BfsResult bfs(const Graph& g, vid source, vid max_levels, SsspWorkspace& ws) {
   ws.stamp_[source].store(run_base, std::memory_order_relaxed);
   engine.push(0, source);
   BfsCtx ctx{g,
-             ws.round_hooks_(),
              engine,
              ws.relaxer_,
              ws.frontier_,
@@ -250,7 +248,6 @@ MultiBfsResult multi_bfs(const Graph& g, const std::vector<vid>& sources,
     engine.push(0, s);
   }
   BfsCtx ctx{g,
-             ws.round_hooks_(),
              engine,
              ws.relaxer_,
              ws.frontier_,

@@ -65,7 +65,8 @@ DeltaSteppingResult delta_stepping(const Graph& g, vid source, weight_t delta,
 
   // The packed fast path needs every parent id representable in 24 bits
   // (kPackedNoVia is reserved for kNoVertex).
-  const bool via_packs = !ws.force_three_phase_ &&
+  RoundStats& stats = ws.relaxer_.stats();
+  const bool via_packs = !ws.relaxer_.policy().three_phase &&
                          static_cast<std::uint64_t>(n) <= kPackedNoVia;
 
   // A round below this many items (proposals for the reduce, frontier
@@ -74,8 +75,7 @@ DeltaSteppingResult delta_stepping(const Graph& g, vid source, weight_t delta,
   // only on the (deterministic) round contents, so the counters match at
   // every thread count; both paths compute the same (dist, parent)
   // argmin, so the output is bit-identical.
-  const std::size_t seq_threshold =
-      ws.force_parallel_rounds_ ? 0 : FrontierRelaxer::kSequentialRoundEdges;
+  const std::size_t seq_threshold = ws.relaxer_.seq_threshold();
   // Per-stage chunk for the proposal-indexed phases below.
   constexpr std::size_t kStageGrain = 512;
 
@@ -120,9 +120,8 @@ DeltaSteppingResult delta_stepping(const Graph& g, vid source, weight_t delta,
   engine.push(0, {source, kNoVertex, 0});
 
   // One persistent parallel region for the whole bucket loop; every
-  // phase below is a barrier-separated Team stage (force_fork_join pins
-  // the historical per-phase fork-join scheduling instead).
-  Team::drive(!ws.force_fork_join_, [&](Team& team) {
+  // phase below is a barrier-separated Team stage.
+  Team::drive([&](Team& team) {
     // Resolve the popped bucket's proposals (one synchronous round of the
     // CRCW priority write), settle the winners, and concatenate the
     // newly-improved vertices into `newly`. Two equivalent reduction
@@ -150,8 +149,8 @@ DeltaSteppingResult delta_stepping(const Graph& g, vid source, weight_t delta,
             }
           }
           if (live != 0) {
-            ++ws.packed_rounds_;
-            ++ws.sequential_rounds_;
+            ++stats.packed_rounds;
+            ++stats.sequential_rounds;
             const std::uint64_t round_id = ws.next_stamp_();
             for (const SsspProposal& p : props) {
               if (best_packed[p.v].load(std::memory_order_relaxed) ==
@@ -172,8 +171,8 @@ DeltaSteppingResult delta_stepping(const Graph& g, vid source, weight_t delta,
             }
           }
           if (live != 0) {
-            ++ws.fallback_rounds_;
-            ++ws.sequential_rounds_;
+            ++stats.fallback_rounds;
+            ++stats.sequential_rounds;
             for (const SsspProposal& p : props) {
               if (p.dist == best_key[p.v].load(std::memory_order_relaxed) &&
                   p.via < best_via[p.v].load(std::memory_order_relaxed)) {
@@ -205,8 +204,8 @@ DeltaSteppingResult delta_stepping(const Graph& g, vid source, weight_t delta,
         });
         live = tally.drain();
         if (live != 0) {
-          ++ws.packed_rounds_;
-          ++ws.team_rounds_;
+          ++stats.packed_rounds;
+          ++stats.team_rounds;
           const std::uint64_t round_id = ws.next_stamp_();
           team.loop(0, props.size(), kStageGrain, [&](std::size_t i) {
             const SsspProposal& p = props[i];
@@ -228,8 +227,8 @@ DeltaSteppingResult delta_stepping(const Graph& g, vid source, weight_t delta,
         });
         live = tally.drain();
         if (live != 0) {
-          ++ws.fallback_rounds_;
-          ++ws.team_rounds_;
+          ++stats.fallback_rounds;
+          ++stats.team_rounds;
           team.loop(0, props.size(), kStageGrain, [&](std::size_t i) {
             const SsspProposal& p = props[i];
             if (p.dist == best_key[p.v].load(std::memory_order_relaxed)) {
@@ -348,14 +347,14 @@ DeltaSteppingResult delta_stepping(const Graph& g, vid source, weight_t delta,
         return deg;
       };
       ws.relaxer_.relax(
-          team, frontier, g.num_vertices(), g.num_arcs(), seq_threshold,
+          team, frontier, g.num_vertices(), g.num_arcs(),
           [&](std::size_t i) { return static_cast<std::size_t>(g.degree(frontier[i])); },
           scan_with([&](std::uint64_t bb, SsspProposal p) { engine.push(bb, p); }),
           scan_with([&](std::uint64_t bb, SsspProposal p) {
             engine.push_from_worker(bb, p);
           }),
           pull_scan);
-      if (!g.has_flat_adjacency()) ++ws.compressed_rounds_;
+      if (!g.has_flat_adjacency()) ++stats.compressed_rounds;
       const std::uint64_t relaxed = tally.drain();
       r.relaxations += relaxed;
       wd::add_work(relaxed);

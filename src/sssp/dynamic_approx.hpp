@@ -161,7 +161,8 @@ class DynamicApproxShortestPaths {
   [[nodiscard]] const Params& params() const { return params_; }
 
   /// The rebuild's warm workspaces, exposed for the determinism suite's
-  /// forced-seam matrix (push/pull, team/fork-join hooks live on these).
+  /// forced-seam matrix (their RoundPolicy picks push/pull, packed/three-
+  /// phase and sequential/team rounds).
   [[nodiscard]] EstClusterWorkspace& cluster_workspace() { return cluster_ws_; }
   [[nodiscard]] SsspWorkspacePool& build_pool() { return build_pool_; }
 

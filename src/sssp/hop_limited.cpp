@@ -42,7 +42,6 @@ struct BellmanFordRefs {
 /// workspace can restore its dist-infinity invariant lazily.
 template <typename TeamLike>
 void relax_round(const Graph& g, BellmanFordRefs& r, TeamLike& team,
-                 const SsspWorkspace::RoundHooks& hooks,
                  std::uint64_t* relaxations, weight_t dist_limit) {
   auto dist_of = [&](vid v) { return r.dist[v].load(std::memory_order_relaxed); };
   // Snapshot the frontier's round-start distances: relaxations below may
@@ -58,7 +57,7 @@ void relax_round(const Graph& g, BellmanFordRefs& r, TeamLike& team,
   });
   r.improved.clear();
   const auto plan = r.relaxer.relax(
-      team, r.frontier.size(), hooks.seq_threshold,
+      team, r.frontier.size(),
       [&](std::size_t i) { return static_cast<std::size_t>(g.degree(r.frontier[i])); },
       // Sequential round: one worker, plain relaxed loads/stores, direct
       // appends. A vertex may be improved several times (several frontier
@@ -102,8 +101,9 @@ void relax_round(const Graph& g, BellmanFordRefs& r, TeamLike& team,
           }
         });
       });
-  ++(plan.sequential ? *hooks.sequential_rounds : *hooks.team_rounds);
-  if (!g.has_flat_adjacency()) ++*hooks.compressed_rounds;
+  RoundStats& stats = r.relaxer.stats();
+  ++(plan.sequential ? stats.sequential_rounds : stats.team_rounds);
+  if (!g.has_flat_adjacency()) ++stats.compressed_rounds;
   *relaxations += plan.edges;
   wd::add_work(plan.edges);
   wd::add_round();
@@ -155,19 +155,18 @@ HopLimitedStats hop_limited_sssp(const Graph& g, vid source, std::uint64_t h,
   // non-early run differs only in that callers budget h for it).
   (void)stop_early;
   HopLimitedStats stats;
-  const SsspWorkspace::RoundHooks hooks = ws.round_hooks_();
   // The deadline is polled on the driver thread between rounds only — a
   // round is the unit of cancellation, so a partial run is always "the
   // first k rounds in full" and the settled distances are exact dist^k.
   const bool check_deadline = !deadline.never_expires();
-  Team::drive(!hooks.force_fork_join, [&](Team& team) {
+  Team::drive([&](Team& team) {
     for (std::uint64_t round = 0; round < h; ++round) {
       if (r.frontier.empty()) break;  // nothing more can ever improve
       if (check_deadline && deadline.expired()) {
         stats.deadline_hit = true;
         break;
       }
-      relax_round(g, r, team, hooks, &stats.relaxations, dist_limit);
+      relax_round(g, r, team, &stats.relaxations, dist_limit);
       ++stats.rounds;
     }
   });
@@ -211,11 +210,10 @@ std::uint64_t hops_to_approx(const Graph& g, vid s, vid t, weight_t true_dist,
   std::uint64_t relaxations = 0;
   std::uint64_t rounds = 0;
   std::uint64_t reached_at = h_cap;
-  const SsspWorkspace::RoundHooks hooks = ws.round_hooks_();
-  Team::drive(!hooks.force_fork_join, [&](Team& team) {
+  Team::drive([&](Team& team) {
     for (std::uint64_t h = 1; h <= h_cap; ++h) {
       if (r.frontier.empty()) return;  // converged without reaching goal
-      relax_round(g, r, team, hooks, &relaxations, kInfWeight);
+      relax_round(g, r, team, &relaxations, kInfWeight);
       ++rounds;
       if (ws.dist_of(t) <= goal) {
         reached_at = h;

@@ -111,7 +111,7 @@ WeightedBfsResult weighted_bfs(const Graph& g, vid source, weight_t limit,
                 ws.touched_,         ws.frontier_, ws.scratch_allocs_};
   WeightedBfsResult r;
   r.rounds = run_dial(g, refs, std::span<const vid>(&source, 1), limit);
-  if (!g.has_flat_adjacency()) ws.compressed_rounds_ += r.rounds;
+  if (!g.has_flat_adjacency()) ws.relaxer_.stats().compressed_rounds += r.rounds;
   r.dist.assign(n, kInfWeight);
   r.parent.assign(n, kNoVertex);
   for (vid v : ws.touched()) {
@@ -135,7 +135,7 @@ MultiWeightedBfsResult multi_weighted_bfs(const Graph& g, const std::vector<vid>
                 ws.touched_,         ws.frontier_, ws.scratch_allocs_};
   MultiWeightedBfsResult r;
   r.rounds = run_dial(g, refs, sources, limit);
-  if (!g.has_flat_adjacency()) ws.compressed_rounds_ += r.rounds;
+  if (!g.has_flat_adjacency()) ws.relaxer_.stats().compressed_rounds += r.rounds;
   r.dist.assign(n, kInfWeight);
   r.owner.assign(n, kNoVertex);
   for (vid v : ws.touched()) {

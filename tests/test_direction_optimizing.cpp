@@ -6,15 +6,15 @@
 // push round would have emitted for it — the suppressed proposals are
 // strict losers of the very min-reduce that resolves them — so every
 // driver's OUTPUT (distances, parents, clustering) is bit-identical across
-// forced push, forced pull, the organic hysteresis, team/fork-join
-// scheduling, and 1 vs 4 threads. Work-proxy counters (delta phases and
+// forced push, forced pull, the organic hysteresis, and 1 thread (the
+// inline Team) vs 4 (the persistent team). Work-proxy counters (delta phases and
 // relaxations, est work) are direction-DEPENDENT by design (push pops
 // stale-only buckets pull never creates) and are deliberately not compared
 // across directions; rounds/levels are direction-independent and are.
 //
 // Suites here run under the TSan CI job (no *Warm* name) and the
-// PARSH_FORCE_PULL ctest lane; explicit force_push(true)/force_pull(true)
-// override the env seam, so both directions are exercised regardless.
+// PARSH_FORCE_PULL ctest lane; an explicit RoundPolicy::direction
+// overrides the env default, so both directions are exercised regardless.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -73,53 +73,47 @@ std::vector<std::pair<const char*, Graph>> direction_graphs(std::uint64_t seed) 
 
 class DirectionOptimizing : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(DirectionOptimizing, EstClusterPushVsPullAcrossThreadsAndTeams) {
+TEST_P(DirectionOptimizing, EstClusterPushVsPullAcrossThreads) {
   for (const auto& [name, g] : direction_graphs(GetParam())) {
     SCOPED_TRACE(name);
     EstClusterWorkspace push_ws;
-    push_ws.force_push(true);
+    push_ws.policy().direction = RoundPolicy::Direction::kPush;
     const Clustering pushed =
         at_threads(1, [&] { return est_cluster(g, 0.5, GetParam(), push_ws); });
     EXPECT_EQ(push_ws.pull_rounds(), 0u);
     EXPECT_TRUE(validate_clustering(g, pushed)) << name;
     for (int threads : {1, 4}) {
-      for (const bool fork_join : {false, true}) {
-        EstClusterWorkspace ws;
-        ws.force_pull(true);
-        ws.force_fork_join(fork_join);
-        const Clustering pulled = at_threads(
-            threads, [&] { return est_cluster(g, 0.5, GetParam(), ws); });
-        EXPECT_GT(ws.pull_rounds(), 0u) << name << " @" << threads;
-        EXPECT_GT(ws.pull_edges_scanned(), 0u) << name << " @" << threads;
-        expect_same_clustering(pulled, pushed);
-      }
+      EstClusterWorkspace ws;
+      ws.policy().direction = RoundPolicy::Direction::kPull;
+      const Clustering pulled = at_threads(
+          threads, [&] { return est_cluster(g, 0.5, GetParam(), ws); });
+      EXPECT_GT(ws.pull_rounds(), 0u) << name << " @" << threads;
+      EXPECT_GT(ws.stats().pull_edges_scanned, 0u) << name << " @" << threads;
+      expect_same_clustering(pulled, pushed);
     }
   }
 }
 
-TEST_P(DirectionOptimizing, BfsPushVsPullAcrossThreadsAndTeams) {
+TEST_P(DirectionOptimizing, BfsPushVsPullAcrossThreads) {
   // Parents included: the per-level min-via argmin must survive the
   // direction flip bit-for-bit (the pull scan's early exit on the sorted
   // adjacency IS that argmin).
   for (const auto& [name, g] : direction_graphs(GetParam())) {
     SCOPED_TRACE(name);
     SsspWorkspace push_ws;
-    push_ws.force_push(true);
+    push_ws.policy().direction = RoundPolicy::Direction::kPush;
     const BfsResult pushed =
         at_threads(1, [&] { return bfs(g, 0, kNoVertex, push_ws); });
     EXPECT_EQ(push_ws.pull_rounds(), 0u);
     for (int threads : {1, 4}) {
-      for (const bool fork_join : {false, true}) {
-        SsspWorkspace ws;
-        ws.force_pull(true);
-        ws.force_fork_join(fork_join);
-        const BfsResult pulled =
-            at_threads(threads, [&] { return bfs(g, 0, kNoVertex, ws); });
-        EXPECT_GT(ws.pull_rounds(), 0u) << name << " @" << threads;
-        EXPECT_EQ(pulled.dist, pushed.dist);
-        EXPECT_EQ(pulled.parent, pushed.parent);
-        EXPECT_EQ(pulled.rounds, pushed.rounds);
-      }
+      SsspWorkspace ws;
+      ws.policy().direction = RoundPolicy::Direction::kPull;
+      const BfsResult pulled =
+          at_threads(threads, [&] { return bfs(g, 0, kNoVertex, ws); });
+      EXPECT_GT(ws.pull_rounds(), 0u) << name << " @" << threads;
+      EXPECT_EQ(pulled.dist, pushed.dist);
+      EXPECT_EQ(pulled.parent, pushed.parent);
+      EXPECT_EQ(pulled.rounds, pushed.rounds);
     }
   }
 }
@@ -129,12 +123,12 @@ TEST_P(DirectionOptimizing, MultiBfsPushVsPullOwners) {
     SCOPED_TRACE(name);
     const std::vector<vid> sources = {0, 1, g.num_vertices() / 2};
     SsspWorkspace push_ws;
-    push_ws.force_push(true);
+    push_ws.policy().direction = RoundPolicy::Direction::kPush;
     const MultiBfsResult pushed =
         at_threads(1, [&] { return multi_bfs(g, sources, kNoVertex, push_ws); });
     for (int threads : {1, 4}) {
       SsspWorkspace ws;
-      ws.force_pull(true);
+      ws.policy().direction = RoundPolicy::Direction::kPull;
       const MultiBfsResult pulled =
           at_threads(threads, [&] { return multi_bfs(g, sources, kNoVertex, ws); });
       EXPECT_GT(ws.pull_rounds(), 0u) << name << " @" << threads;
@@ -145,30 +139,27 @@ TEST_P(DirectionOptimizing, MultiBfsPushVsPullOwners) {
   }
 }
 
-TEST_P(DirectionOptimizing, DeltaSteppingPushVsPullAcrossThreadsAndTeams) {
+TEST_P(DirectionOptimizing, DeltaSteppingPushVsPullAcrossThreads) {
   for (const auto& [name, base] : direction_graphs(GetParam())) {
     SCOPED_TRACE(name);
     const Graph g = with_uniform_weights(base, 1, 9, GetParam() + 17);
     for (const weight_t delta : {0.0, 4.0}) {
       SsspWorkspace push_ws;
-      push_ws.force_push(true);
+      push_ws.policy().direction = RoundPolicy::Direction::kPush;
       const auto pushed =
           at_threads(1, [&] { return delta_stepping(g, 0, delta, push_ws); });
       EXPECT_EQ(push_ws.pull_rounds(), 0u);
       for (int threads : {1, 4}) {
-        for (const bool fork_join : {false, true}) {
-          SsspWorkspace ws;
-          ws.force_pull(true);
-          ws.force_fork_join(fork_join);
-          const auto pulled =
-              at_threads(threads, [&] { return delta_stepping(g, 0, delta, ws); });
-          EXPECT_GT(ws.pull_rounds(), 0u) << name << " @" << threads;
-          // Distances and the parent tree are the contract; phases and
-          // relaxations are direction-dependent work proxies (push pops
-          // stale-only buckets pull never creates) and are not compared.
-          EXPECT_EQ(pulled.dist, pushed.dist);
-          EXPECT_EQ(pulled.parent, pushed.parent);
-        }
+        SsspWorkspace ws;
+        ws.policy().direction = RoundPolicy::Direction::kPull;
+        const auto pulled =
+            at_threads(threads, [&] { return delta_stepping(g, 0, delta, ws); });
+        EXPECT_GT(ws.pull_rounds(), 0u) << name << " @" << threads;
+        // Distances and the parent tree are the contract; phases and
+        // relaxations are direction-dependent work proxies (push pops
+        // stale-only buckets pull never creates) and are not compared.
+        EXPECT_EQ(pulled.dist, pushed.dist);
+        EXPECT_EQ(pulled.parent, pushed.parent);
       }
     }
   }
@@ -182,13 +173,13 @@ TEST_P(DirectionOptimizing, OrganicHysteresisFlipsAndMatchesForcedRuns) {
   // (the heuristic only reads round totals and m).
   const Graph g = ensure_connected(make_random_graph(6000, 36000, GetParam()));
   SsspWorkspace push_ws;
-  push_ws.force_push(true);
+  push_ws.policy().direction = RoundPolicy::Direction::kPush;
   const BfsResult pushed =
       at_threads(1, [&] { return bfs(g, 0, kNoVertex, push_ws); });
   std::vector<std::uint64_t> pull_rounds_by_thread;
   for (int threads : {1, 4}) {
     SsspWorkspace ws;
-    ws.force_pull(false);  // clears a PARSH_FORCE_PULL env default too
+    ws.policy().direction = RoundPolicy::Direction::kAuto;  // over the env default
     const BfsResult organic =
         at_threads(threads, [&] { return bfs(g, 0, kNoVertex, ws); });
     EXPECT_GT(ws.pull_rounds(), 0u) << "@" << threads;
@@ -218,7 +209,7 @@ TEST_P(DirectionOptimizing, HysteresisEntersHighExitsLow) {
   // round whose total clears the hysteresis band but not the floor still
   // runs push (the Theta(n) candidate sweep could not pay for itself).
   FrontierRelaxer relaxer;
-  relaxer.force_pull(false);  // clear a PARSH_FORCE_PULL env default
+  relaxer.policy().direction = RoundPolicy::Direction::kAuto;  // over the env default
   relaxer.set_pull_divisors(10, 100);  // m=1000: enter at 100, exit below 10
   relaxer.begin_run();
   InlineTeam team;
@@ -229,7 +220,7 @@ TEST_P(DirectionOptimizing, HysteresisEntersHighExitsLow) {
   auto run_round = [&](std::uint64_t per_vertex_degree) {
     degree = per_vertex_degree;
     return relaxer.relax(
-        team, frontier, n, m, /*seq_threshold=*/0,
+        team, frontier, n, m,
         [&](std::size_t) { return static_cast<std::size_t>(degree); },
         [&](std::size_t, std::size_t, std::size_t) {},
         [&](std::size_t, std::size_t, std::size_t) {},
@@ -242,7 +233,7 @@ TEST_P(DirectionOptimizing, HysteresisEntersHighExitsLow) {
   EXPECT_TRUE(run_round(40).pull);    // 120 >= 100: re-enters
   EXPECT_FALSE(run_round(3).pull);    // 9 < 10: exits below the band too
   EXPECT_FALSE(run_round(20).pull);   // 60 < 100: does not re-enter
-  EXPECT_EQ(relaxer.pull_rounds(), 3u);  // enter + hold + re-enter
+  EXPECT_EQ(relaxer.stats().pull_rounds, 3u);  // enter + hold + re-enter
   relaxer.begin_run();                // fresh run resets the state machine
   EXPECT_FALSE(run_round(20).pull);
 }

@@ -122,7 +122,7 @@ TEST_P(DriverDeterminism, Hopset) {
   EXPECT_EQ(one.clusterings, many.clusterings);
 }
 
-// --- the SSSP family (PR 3: every traversal driver runs on the shared
+// --- the SSSP family (every traversal driver runs on the shared
 // --- SsspWorkspace; distances, parents and counters must be bit-identical
 // --- across thread counts and across the packed/three-phase seam).
 
@@ -147,14 +147,14 @@ TEST_P(DriverDeterminism, DeltaStepping) {
 TEST_P(DriverDeterminism, DeltaSteppingPackedVsThreePhaseAcrossThreads) {
   const Graph g = with_uniform_weights(unweighted(), 4096, 8192, GetParam() + 29);
   SsspWorkspace forced;
-  forced.force_three_phase(true);
+  forced.policy().three_phase = true;
   const auto baseline = delta_stepping(g, 0, 1.0, forced);
-  EXPECT_GT(forced.fallback_rounds(), 0u);
+  EXPECT_GT(forced.stats().fallback_rounds, 0u);
   for (int threads : {1, 4}) {
     SsspWorkspace ws;
     const auto packed =
         at_threads(threads, [&] { return delta_stepping(g, 0, 1.0, ws); });
-    EXPECT_GT(ws.packed_rounds(), 0u);
+    EXPECT_GT(ws.stats().packed_rounds, 0u);
     EXPECT_EQ(packed.dist, baseline.dist);
     EXPECT_EQ(packed.parent, baseline.parent);
     EXPECT_EQ(packed.phases, baseline.phases);
@@ -218,10 +218,10 @@ TEST_P(DriverDeterminism, ApproxQueryAll) {
   EXPECT_EQ(one.relaxations, many.relaxations);
 }
 
-// --- dynamic incremental rebuild (PR 9): an epoch produced by the
-// --- incremental dirty-scale path must be bit-identical to a forced full
-// --- rebuild and to itself across thread counts, scheduling seams
-// --- (team vs fork-join via the engine's warm workspace), and graph
+// --- dynamic incremental rebuild: an epoch produced by the incremental
+// --- dirty-scale path must be bit-identical to a forced full rebuild and
+// --- to itself across thread counts, round seams (every rebuild round
+// --- through the team stages via the engine's warm workspace), and graph
 // --- backings (flat vs compressed). The push/pull seam rides the
 // --- PARSH_FORCE_PULL CI lane, which runs this whole suite.
 
@@ -236,37 +236,37 @@ TEST_P(DriverDeterminism, DynamicRebuildAcrossThreadCountsAndSeams) {
   d.insert.push_back({17, 17, 2.0});  // self loop no-op rides along
   d.remove.push_back({0, 1, 1.0});
 
-  auto run = [&](const Graph& g, bool fork_join, bool force_full) {
+  auto run = [&](const Graph& g, bool parallel_rounds, bool force_full) {
     DynamicApproxShortestPaths dyn(g, p);
-    if (fork_join) dyn.cluster_workspace().force_fork_join(true);
+    dyn.cluster_workspace().policy().parallel_rounds = parallel_rounds;
     dyn.set_force_full_rebuild(force_full);
     const auto res = dyn.apply(d);
     EXPECT_EQ(res.hopset.full_rebuild, force_full);
     return dyn.snapshot()->engine.query_all(0);
   };
+  // Baseline: the 1-thread run, where every Team runs inline.
   const auto baseline =
-      at_threads(1, [&] { return run(flat, /*fork_join=*/false, /*full=*/false); });
+      at_threads(1, [&] { return run(flat, /*parallel_rounds=*/false, /*full=*/false); });
   const auto check = [&](const ApproxShortestPaths::AllResult& r, const char* what) {
     EXPECT_EQ(r.estimate, baseline.estimate) << what;
     EXPECT_EQ(r.rounds, baseline.rounds) << what;
     EXPECT_EQ(r.relaxations, baseline.relaxations) << what;
   };
   check(at_threads(4, [&] { return run(flat, false, false); }), "4t organic");
-  check(at_threads(4, [&] { return run(flat, true, false); }), "4t fork-join");
+  check(at_threads(4, [&] { return run(flat, true, false); }), "4t parallel rounds");
   check(at_threads(4, [&] { return run(flat, false, true); }), "4t forced-full");
   check(at_threads(1, [&] { return run(compressed, false, false); }),
         "1t compressed");
   check(at_threads(4, [&] { return run(compressed, true, true); }),
-        "4t compressed fork-join forced-full");
+        "4t compressed parallel-rounds forced-full");
 }
 
-// --- persistent-team round execution (PR 5): every driver's drain loop
-// --- runs inside one parallel region with an adaptive sequential round
-// --- fast path. Output must be bit-identical across (a) the persistent
-// --- team vs the historical fork-join-per-phase scheduling
-// --- (force_fork_join), (b) adaptive sequential rounds vs every round
-// --- through the parallel phases (force_parallel_rounds), and (c) 1 vs 4
-// --- threads — in every combination.
+// --- persistent-team round execution: every driver's drain loop runs
+// --- inside one parallel region with an adaptive sequential round fast
+// --- path. Output AND the whole RoundStats must be bit-identical across
+// --- (a) the persistent team (4 threads) vs the inline Team (1 thread),
+// --- (b) adaptive sequential rounds vs every round through the team
+// --- stages (RoundPolicy::parallel_rounds), and (c) a forced 4-wide team.
 
 void expect_same_clustering(const Clustering& a, const Clustering& b) {
   EXPECT_EQ(a.cluster_of, b.cluster_of);
@@ -275,6 +275,17 @@ void expect_same_clustering(const Clustering& a, const Clustering& b) {
   EXPECT_EQ(a.dist_to_center, b.dist_to_center);
   EXPECT_EQ(a.num_clusters, b.num_clusters);
   EXPECT_EQ(a.rounds, b.rounds);
+}
+
+void expect_same_stats(const RoundStats& a, const RoundStats& b) {
+  EXPECT_EQ(a.packed_rounds, b.packed_rounds);
+  EXPECT_EQ(a.fallback_rounds, b.fallback_rounds);
+  EXPECT_EQ(a.sequential_rounds, b.sequential_rounds);
+  EXPECT_EQ(a.team_rounds, b.team_rounds);
+  EXPECT_EQ(a.compressed_rounds, b.compressed_rounds);
+  EXPECT_EQ(a.edge_grain_rounds, b.edge_grain_rounds);
+  EXPECT_EQ(a.pull_rounds, b.pull_rounds);
+  EXPECT_EQ(a.pull_edges_scanned, b.pull_edges_scanned);
 }
 
 class TeamRounds : public ::testing::TestWithParam<std::uint64_t> {
@@ -290,39 +301,41 @@ class TeamRounds : public ::testing::TestWithParam<std::uint64_t> {
   }
 };
 
-TEST_P(TeamRounds, EstClusterTeamVsForkJoinAcrossThreads) {
+TEST_P(TeamRounds, EstClusterTeamVsInline) {
   const Graph g = straddling_weighted();
-  EstClusterWorkspace fj_ws;
-  fj_ws.force_fork_join(true);
+  EstClusterWorkspace inline_ws;
   const Clustering baseline =
-      at_threads(1, [&] { return est_cluster(g, 0.5, GetParam(), fj_ws); });
-  for (int threads : {1, 4}) {
-    EstClusterWorkspace team_ws;
-    // Any parallel_for reached from inside the persistent region would
-    // silently serialize; the drain loops must route every phase through
-    // Team::loop, so arm the abort hook for the duration.
-    assert_on_nested_sequential(true);
-    const Clustering team =
-        at_threads(threads, [&] { return est_cluster(g, 0.5, GetParam(), team_ws); });
-    assert_on_nested_sequential(false);
-    expect_same_clustering(team, baseline);
-    // The straddle actually happened: both round classes occurred, and
-    // identically at every thread count.
-    EXPECT_GT(team_ws.sequential_rounds(), 0u);
-    EXPECT_GT(team_ws.team_rounds(), 0u);
-    EXPECT_EQ(team_ws.sequential_rounds(), fj_ws.sequential_rounds());
-    EXPECT_EQ(team_ws.team_rounds(), fj_ws.team_rounds());
-  }
+      at_threads(1, [&] { return est_cluster(g, 0.5, GetParam(), inline_ws); });
+  EstClusterWorkspace team_ws;
+  // Any parallel_for reached from inside the persistent region would
+  // silently serialize; the drain loops must route every phase through
+  // Team::loop, so arm the abort hook for the duration.
+  assert_on_nested_sequential(true);
+  const Clustering team =
+      at_threads(4, [&] { return est_cluster(g, 0.5, GetParam(), team_ws); });
+  assert_on_nested_sequential(false);
+  expect_same_clustering(team, baseline);
+  // The straddle actually happened: both round classes occurred, and
+  // identically at both thread counts.
+  EXPECT_GT(team_ws.sequential_rounds(), 0u);
+  EXPECT_GT(team_ws.team_rounds(), 0u);
+  expect_same_stats(team_ws.stats(), inline_ws.stats());
 }
 
 TEST_P(TeamRounds, EstClusterSequentialVsParallelRounds) {
   const Graph g = straddling_weighted();
   EstClusterWorkspace forced;
-  forced.force_parallel_rounds(true);
+  forced.policy().parallel_rounds = true;
   const Clustering baseline =
       at_threads(1, [&] { return est_cluster(g, 0.5, GetParam(), forced); });
   EXPECT_EQ(forced.sequential_rounds(), 0u);
   EXPECT_GT(forced.team_rounds(), 0u);
+  EstClusterWorkspace forced4;
+  forced4.policy().parallel_rounds = true;
+  expect_same_clustering(
+      at_threads(4, [&] { return est_cluster(g, 0.5, GetParam(), forced4); }),
+      baseline);
+  expect_same_stats(forced4.stats(), forced.stats());
   for (int threads : {1, 4}) {
     EstClusterWorkspace adaptive;
     const Clustering out =
@@ -334,77 +347,74 @@ TEST_P(TeamRounds, EstClusterSequentialVsParallelRounds) {
 
 TEST_P(TeamRounds, DeltaSteppingAcrossAllSchedulingModes) {
   const Graph g = straddling_weighted();
-  SsspWorkspace fj_ws;
-  fj_ws.force_fork_join(true);
+  SsspWorkspace inline_ws;
   const auto baseline =
-      at_threads(1, [&] { return delta_stepping(g, 0, 4.0, fj_ws); });
-  SsspWorkspace par_ws;
-  par_ws.force_parallel_rounds(true);
-  const auto parallel_rounds =
-      at_threads(4, [&] { return delta_stepping(g, 0, 4.0, par_ws); });
-  EXPECT_EQ(par_ws.sequential_rounds(), 0u);
-  EXPECT_EQ(parallel_rounds.dist, baseline.dist);
-  EXPECT_EQ(parallel_rounds.parent, baseline.parent);
-  EXPECT_EQ(parallel_rounds.phases, baseline.phases);
-  EXPECT_EQ(parallel_rounds.relaxations, baseline.relaxations);
-  for (int threads : {1, 4}) {
-    SsspWorkspace ws;
-    assert_on_nested_sequential(true);
-    const auto team =
-        at_threads(threads, [&] { return delta_stepping(g, 0, 4.0, ws); });
-    assert_on_nested_sequential(false);
-    EXPECT_GT(ws.sequential_rounds(), 0u);
-    EXPECT_GT(ws.team_rounds(), 0u);
-    EXPECT_EQ(ws.sequential_rounds(), fj_ws.sequential_rounds());
-    EXPECT_EQ(ws.team_rounds(), fj_ws.team_rounds());
-    EXPECT_EQ(team.dist, baseline.dist);
-    EXPECT_EQ(team.parent, baseline.parent);
-    EXPECT_EQ(team.phases, baseline.phases);
-    EXPECT_EQ(team.relaxations, baseline.relaxations);
+      at_threads(1, [&] { return delta_stepping(g, 0, 4.0, inline_ws); });
+  EXPECT_GT(inline_ws.sequential_rounds(), 0u);
+  EXPECT_GT(inline_ws.team_rounds(), 0u);
+  const auto expect_same = [&](const DeltaSteppingResult& r) {
+    EXPECT_EQ(r.dist, baseline.dist);
+    EXPECT_EQ(r.parent, baseline.parent);
+    EXPECT_EQ(r.phases, baseline.phases);
+    EXPECT_EQ(r.relaxations, baseline.relaxations);
+  };
+  SsspWorkspace ws;
+  assert_on_nested_sequential(true);
+  expect_same(at_threads(4, [&] { return delta_stepping(g, 0, 4.0, ws); }));
+  assert_on_nested_sequential(false);
+  expect_same_stats(ws.stats(), inline_ws.stats());
+  RoundStats forced_stats[2];
+  for (int i = 0; i < 2; ++i) {
+    SsspWorkspace par_ws;
+    par_ws.policy().parallel_rounds = true;
+    expect_same(at_threads(i == 0 ? 1 : 4,
+                           [&] { return delta_stepping(g, 0, 4.0, par_ws); }));
+    EXPECT_EQ(par_ws.sequential_rounds(), 0u);
+    forced_stats[i] = par_ws.stats();
   }
+  expect_same_stats(forced_stats[1], forced_stats[0]);
 }
 
 TEST_P(TeamRounds, BfsDistancesAcrossAllSchedulingModes) {
   // BFS distances, level counts AND parents are deterministic: parents
   // are the per-level min-via argmin (docs/ARCHITECTURE.md).
   const Graph g = straddling();
-  SsspWorkspace fj_ws;
-  fj_ws.force_fork_join(true);
+  SsspWorkspace inline_ws;
   const BfsResult baseline =
-      at_threads(1, [&] { return bfs(g, 0, kNoVertex, fj_ws); });
-  for (int threads : {1, 4}) {
-    SsspWorkspace ws;
-    assert_on_nested_sequential(true);
-    const BfsResult team =
-        at_threads(threads, [&] { return bfs(g, 0, kNoVertex, ws); });
-    assert_on_nested_sequential(false);
-    EXPECT_EQ(team.dist, baseline.dist);
-    EXPECT_EQ(team.parent, baseline.parent);
-    EXPECT_EQ(team.rounds, baseline.rounds);
+      at_threads(1, [&] { return bfs(g, 0, kNoVertex, inline_ws); });
+  const auto expect_same = [&](const BfsResult& r) {
+    EXPECT_EQ(r.dist, baseline.dist);
+    EXPECT_EQ(r.parent, baseline.parent);
+    EXPECT_EQ(r.rounds, baseline.rounds);
+  };
+  SsspWorkspace ws;
+  assert_on_nested_sequential(true);
+  expect_same(at_threads(4, [&] { return bfs(g, 0, kNoVertex, ws); }));
+  assert_on_nested_sequential(false);
+  expect_same_stats(ws.stats(), inline_ws.stats());
+  RoundStats forced_stats[2];
+  for (int i = 0; i < 2; ++i) {
     SsspWorkspace par_ws;
-    par_ws.force_parallel_rounds(true);
-    const BfsResult parallel_rounds =
-        at_threads(threads, [&] { return bfs(g, 0, kNoVertex, par_ws); });
+    par_ws.policy().parallel_rounds = true;
+    expect_same(at_threads(i == 0 ? 1 : 4,
+                           [&] { return bfs(g, 0, kNoVertex, par_ws); }));
     EXPECT_EQ(par_ws.sequential_rounds(), 0u);
-    EXPECT_EQ(parallel_rounds.dist, baseline.dist);
-    EXPECT_EQ(parallel_rounds.parent, baseline.parent);
-    EXPECT_EQ(parallel_rounds.rounds, baseline.rounds);
+    forced_stats[i] = par_ws.stats();
   }
+  expect_same_stats(forced_stats[1], forced_stats[0]);
 }
 
-TEST_P(TeamRounds, ForcedWideTeamMatchesForkJoin) {
+TEST_P(TeamRounds, ForcedWideTeamMatchesInline) {
   // Force a real 4-wide persistent team even on hosts with fewer
   // processors (where the automatic width collapses to sequential): the
-  // staged rounds must still be bit-identical to the fork-join run.
+  // staged rounds must still be bit-identical to the inline run.
   const Graph g = straddling_weighted();
-  EstClusterWorkspace fj_ws;
-  fj_ws.force_fork_join(true);
+  EstClusterWorkspace cluster_inline;
   const Clustering cluster_baseline =
-      at_threads(1, [&] { return est_cluster(g, 0.5, GetParam(), fj_ws); });
-  SsspWorkspace delta_fj;
-  delta_fj.force_fork_join(true);
+      at_threads(1, [&] { return est_cluster(g, 0.5, GetParam(), cluster_inline); });
+  SsspWorkspace delta_inline;
   const auto delta_baseline =
-      at_threads(1, [&] { return delta_stepping(g, 0, 4.0, delta_fj); });
+      at_threads(1, [&] { return delta_stepping(g, 0, 4.0, delta_inline); });
   Team::force_width(4);
   EstClusterWorkspace team_ws;
   const Clustering cluster_team =
@@ -414,40 +424,121 @@ TEST_P(TeamRounds, ForcedWideTeamMatchesForkJoin) {
       at_threads(4, [&] { return delta_stepping(g, 0, 4.0, delta_team); });
   Team::force_width(0);
   expect_same_clustering(cluster_team, cluster_baseline);
+  expect_same_stats(team_ws.stats(), cluster_inline.stats());
   EXPECT_EQ(delta_wide.dist, delta_baseline.dist);
   EXPECT_EQ(delta_wide.parent, delta_baseline.parent);
   EXPECT_EQ(delta_wide.phases, delta_baseline.phases);
   EXPECT_EQ(delta_wide.relaxations, delta_baseline.relaxations);
+  expect_same_stats(delta_team.stats(), delta_inline.stats());
 }
 
 TEST_P(TeamRounds, HopLimitedAcrossAllSchedulingModes) {
   // Barrier-separated Bellman-Ford rounds (exact dist^h): distances,
   // round and relaxation counters identical across every scheduling mode
-  // and thread count.
+  // and thread count, and the RoundStats identical across thread counts.
   const Graph g = straddling_weighted();
-  SsspWorkspace fj_ws;
-  fj_ws.force_fork_join(true);
-  const auto baseline = at_threads(
-      1, [&] { return hop_limited_sssp(g, 0, 24, /*stop_early=*/true, kInfWeight, fj_ws); });
+  SsspWorkspace inline_ws;
+  const auto baseline = at_threads(1, [&] {
+    return hop_limited_sssp(g, 0, 24, /*stop_early=*/true, kInfWeight, inline_ws);
+  });
   const auto baseline_dist = [&] {
     std::vector<weight_t> d(g.num_vertices());
-    for (vid v = 0; v < g.num_vertices(); ++v) d[v] = fj_ws.dist_of(v);
+    for (vid v = 0; v < g.num_vertices(); ++v) d[v] = inline_ws.dist_of(v);
     return d;
   }();
-  for (int threads : {1, 4}) {
-    for (const bool force_parallel : {false, true}) {
+  for (const bool parallel_rounds : {false, true}) {
+    RoundStats stats[2];
+    for (int i = 0; i < 2; ++i) {
       SsspWorkspace ws;
-      ws.force_parallel_rounds(force_parallel);
-      const auto stats = at_threads(threads, [&] {
+      ws.policy().parallel_rounds = parallel_rounds;
+      const auto r = at_threads(i == 0 ? 1 : 4, [&] {
         return hop_limited_sssp(g, 0, 24, /*stop_early=*/true, kInfWeight, ws);
       });
-      EXPECT_EQ(stats.rounds, baseline.rounds);
-      EXPECT_EQ(stats.relaxations, baseline.relaxations);
+      EXPECT_EQ(r.rounds, baseline.rounds);
+      EXPECT_EQ(r.relaxations, baseline.relaxations);
       for (vid v = 0; v < g.num_vertices(); ++v) {
         ASSERT_EQ(ws.dist_of(v), baseline_dist[v]) << v;
       }
+      stats[i] = ws.stats();
     }
+    expect_same_stats(stats[1], stats[0]);
   }
+}
+
+TEST_P(TeamRounds, RoundStatsMatchAtOneAndFourThreadsForEveryDriver) {
+  // Every counter of RoundStats is deterministic in (input, policy): each
+  // driver, on a flat and a compressed graph, under the policies that
+  // light up each counter, must report the same RoundStats at 1 thread
+  // (inline Team) and at 4 (persistent team).
+  const Graph flat = straddling_weighted();
+  const Graph compressed = flat.compress_adjacency();
+  // Weights past the 2^12 packed boundary at delta = 1: packed rounds
+  // (a smaller graph: delta = 1 over these weights pops many buckets).
+  const Graph heavy = with_uniform_weights(
+      ensure_connected(make_random_graph(400, 1400, GetParam())), 4096, 8192,
+      GetParam() + 29);
+  using Direction = RoundPolicy::Direction;
+  struct Case {
+    const char* name;
+    const Graph* g;
+    RoundPolicy policy;
+    int driver;  // 0 est_cluster, 1 bfs, 2 delta, 3 hop-limited, 4 weighted bfs
+  };
+  const std::vector<Case> cases = {
+      {"est push", &flat, {false, false, Direction::kPush}, 0},
+      {"est pull compressed", &compressed, {false, false, Direction::kPull}, 0},
+      {"est three-phase parallel", &flat, {true, true, Direction::kAuto}, 0},
+      {"bfs push compressed", &compressed, {false, false, Direction::kPush}, 1},
+      {"bfs pull", &flat, {false, false, Direction::kPull}, 1},
+      {"delta packed", &heavy, {false, false, Direction::kPush}, 2},
+      {"delta three-phase pull", &heavy, {true, false, Direction::kPull}, 2},
+      {"delta compressed", &compressed, {false, true, Direction::kAuto}, 2},
+      {"hop-limited compressed", &compressed, {false, false, Direction::kAuto}, 3},
+      {"weighted bfs compressed", &compressed, {false, false, Direction::kAuto}, 4},
+  };
+  RoundStats seen;  // field-wise sum over all cases: coverage check below
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    RoundStats stats[2];
+    for (int i = 0; i < 2; ++i) {
+      at_threads(i == 0 ? 1 : 4, [&] {
+        if (c.driver == 0) {
+          EstClusterWorkspace ws;
+          ws.policy() = c.policy;
+          (void)est_cluster(*c.g, 0.5, GetParam(), ws);
+          stats[i] = ws.stats();
+          return 0;
+        }
+        SsspWorkspace ws;
+        ws.policy() = c.policy;
+        switch (c.driver) {
+          case 1: (void)bfs(*c.g, 0, kNoVertex, ws); break;
+          case 2: (void)delta_stepping(*c.g, 0, c.g == &heavy ? 1.0 : 4.0, ws); break;
+          case 3: (void)hop_limited_sssp(*c.g, 0, 24, true, kInfWeight, ws); break;
+          default: (void)weighted_bfs(*c.g, 0, kInfWeight, ws); break;
+        }
+        stats[i] = ws.stats();
+        return 0;
+      });
+    }
+    expect_same_stats(stats[1], stats[0]);
+    seen.packed_rounds += stats[0].packed_rounds;
+    seen.fallback_rounds += stats[0].fallback_rounds;
+    seen.sequential_rounds += stats[0].sequential_rounds;
+    seen.team_rounds += stats[0].team_rounds;
+    seen.compressed_rounds += stats[0].compressed_rounds;
+    seen.edge_grain_rounds += stats[0].edge_grain_rounds;
+    seen.pull_rounds += stats[0].pull_rounds;
+    seen.pull_edges_scanned += stats[0].pull_edges_scanned;
+  }
+  EXPECT_GT(seen.packed_rounds, 0u);
+  EXPECT_GT(seen.fallback_rounds, 0u);
+  EXPECT_GT(seen.sequential_rounds, 0u);
+  EXPECT_GT(seen.team_rounds, 0u);
+  EXPECT_GT(seen.compressed_rounds, 0u);
+  EXPECT_GT(seen.edge_grain_rounds, 0u);
+  EXPECT_GT(seen.pull_rounds, 0u);
+  EXPECT_GT(seen.pull_edges_scanned, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DriverDeterminism,

@@ -955,7 +955,7 @@ TEST(Recovery, RecordTheGraphRejectsMidTailIsATypedError) {
   // A checksummed record the recovered graph cannot take means the log
   // does not belong to this base state: record k of N names an endpoint
   // outside the 100-vertex base graph. (A non-positive weight never gets
-  // this far: the record decoder refuses it and the scan stops there.)
+  // this far: the record decoder refuses it, the next test.)
   constexpr std::uint64_t kRecords = 6, kBad = 4;
   const Edge bad_edges[] = {{0, 100, 1.0},    // endpoint == n
                             {4000, 7, 2.0}};  // endpoint far past n
@@ -980,6 +980,41 @@ TEST(Recovery, RecordTheGraphRejectsMidTailIsATypedError) {
     EXPECT_EQ(d, nullptr);
     std::filesystem::remove_all(dir);
   }
+}
+
+TEST(Recovery, RecordTheDecoderRejectsMidTailIsATypedError) {
+  // A weight-0 insert at record 4 of 6 checksums fine but does not
+  // decode. A torn write cannot produce a matching checksum, so this is
+  // corruption: open must fail typed and leave the log untouched, not
+  // truncate the record and everything after it as a torn tail.
+  constexpr std::uint64_t kRecords = 6, kBad = 4;
+  const std::string dir = temp_dir("undecodable_record");
+  std::filesystem::create_directories(dir);
+  {
+    WalWriter w;
+    ASSERT_TRUE(w.open(dir, 1, WalOptions{FsyncPolicy::kOff, 8}).ok());
+    for (std::uint64_t e = 1; e <= kRecords; ++e) {
+      WalRecord rec = make_record(e, 0xbad, e);
+      if (e == kBad) rec.delta.insert = {{3, 7, 0.0}};
+      ASSERT_TRUE(w.append(rec).ok());
+    }
+  }
+  const std::string seg = dir + "/" + wal_segment_name(1);
+  const auto size_before = std::filesystem::file_size(seg);
+  WalScan scan;
+  EXPECT_EQ(scan_wal_segment(seg, &scan).code, StatusCode::kInternal);
+  EXPECT_EQ(scan.records.size(), kBad - 1);
+  EXPECT_FALSE(scan.torn);
+
+  std::unique_ptr<Durability> d;
+  const Status s =
+      Durability::open(base_graph(), dyn_params(), dur_options(dir), &d);
+  EXPECT_EQ(s.code, StatusCode::kInternal);
+  EXPECT_EQ(s.message.rfind("wal record corrupt", 0), 0u) << s.message;
+  EXPECT_EQ(d, nullptr);
+  EXPECT_EQ(list_wal_segments(dir), std::vector<std::string>{seg});
+  EXPECT_EQ(std::filesystem::file_size(seg), size_before);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Recovery, EpochGapMidTailStopsAtLastContiguousEpoch) {

@@ -229,13 +229,13 @@ TEST(EstClusterWorkspace, PackedStraddleMatchesThreePhaseAndOracle) {
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
     EstClusterWorkspace packed_ws;
     const Clustering packed = est_cluster(g, 0.001, seed, packed_ws);
-    EXPECT_GT(packed_ws.packed_rounds(), 0u) << seed;
-    EXPECT_GT(packed_ws.fallback_rounds(), 0u) << seed;
+    EXPECT_GT(packed_ws.stats().packed_rounds, 0u) << seed;
+    EXPECT_GT(packed_ws.stats().fallback_rounds, 0u) << seed;
 
     EstClusterWorkspace three_phase_ws;
-    three_phase_ws.force_three_phase(true);
+    three_phase_ws.policy().three_phase = true;
     const Clustering three = est_cluster(g, 0.001, seed, three_phase_ws);
-    EXPECT_EQ(three_phase_ws.packed_rounds(), 0u);
+    EXPECT_EQ(three_phase_ws.stats().packed_rounds, 0u);
 
     // Bit-identical across the two reduction strategies…
     EXPECT_EQ(packed.cluster_of, three.cluster_of) << seed;
@@ -260,25 +260,25 @@ TEST(EstClusterWorkspace, PackedPathDeterministicAcrossThreadCounts) {
   {
     EstClusterWorkspace ws;
     one = est_cluster(g, 0.001, 123, ws);
-    packed_one = ws.packed_rounds();
+    packed_one = ws.stats().packed_rounds;
   }
   omp_set_num_threads(std::max(4, before));
   {
     EstClusterWorkspace ws;
     many = est_cluster(g, 0.001, 123, ws);
-    packed_many = ws.packed_rounds();
+    packed_many = ws.stats().packed_rounds;
   }
   omp_set_num_threads(before);
 #else
   {
     EstClusterWorkspace ws;
     one = est_cluster(g, 0.001, 123, ws);
-    packed_one = ws.packed_rounds();
+    packed_one = ws.stats().packed_rounds;
   }
   {
     EstClusterWorkspace ws;
     many = est_cluster(g, 0.001, 123, ws);
-    packed_many = ws.packed_rounds();
+    packed_many = ws.stats().packed_rounds;
   }
 #endif
   EXPECT_GT(packed_one, 0u);

@@ -224,7 +224,7 @@ TEST_F(TeamMachinery, StagesCoverEveryIterationExactlyOnce) {
   constexpr int kStages = 50;
   std::vector<std::atomic<int>> hits(kItems);
   for (auto& h : hits) h.store(0, std::memory_order_relaxed);
-  Team::drive(true, [&](Team& team) {
+  Team::drive([&](Team& team) {
     for (int s = 0; s < kStages; ++s) {
       team.loop(0, kItems, 64, [&](std::size_t i) {
         hits[i].fetch_add(1, std::memory_order_relaxed);
@@ -240,7 +240,7 @@ TEST_F(TeamMachinery, StagesCoverEveryIterationExactlyOnce) {
 }
 
 TEST_F(TeamMachinery, TinyStagesRunInlineAndEmptyStagesAreNoops) {
-  Team::drive(true, [&](Team& team) {
+  Team::drive([&](Team& team) {
     int sum = 0;
     // Below the grain the stage runs inline on the driver: a plain
     // non-atomic accumulator is safe.
@@ -250,24 +250,30 @@ TEST_F(TeamMachinery, TinyStagesRunInlineAndEmptyStagesAreNoops) {
   });
 }
 
-TEST_F(TeamMachinery, ForkJoinAndNestedModesMatchPersistent) {
+TEST_F(TeamMachinery, InlineAndNestedModesMatchPersistent) {
   constexpr std::size_t kItems = 5000;
-  auto run = [&](bool persistent) {
+  auto run = [&](int width) {
+    Team::force_width(width);
     std::vector<std::uint64_t> out(kItems, 0);
-    Team::drive(persistent, [&](Team& team) {
+    Team::drive([&](Team& team) {
+      if (width == 1) {
+        EXPECT_FALSE(team.persistent());
+      }
       team.loop(0, kItems, 32, [&](std::size_t i) { out[i] = i * i; });
     });
+    Team::force_width(4);
     return out;
   };
-  const auto team = run(true);
-  const auto fork_join = run(false);
-  EXPECT_EQ(team, fork_join);
+  const auto team = run(4);
+  // A team of one runs the driver inline: loop() is a plain loop.
+  const auto inline_run = run(1);
+  EXPECT_EQ(team, inline_run);
   // Nested inside an outer drive, an inner drive degrades to inline
   // sequential loops (the outer layer owns the parallelism) — same
   // iterations, no deadlock.
   std::vector<std::uint64_t> nested(kItems, 0);
-  Team::drive(true, [&](Team&) {
-    Team::drive(true, [&](Team& inner) {
+  Team::drive([&](Team&) {
+    Team::drive([&](Team& inner) {
       inner.loop(0, kItems, 32, [&](std::size_t i) { nested[i] = i * i; });
     });
   });
@@ -281,7 +287,7 @@ TEST_F(TeamMachinery, NestedParallelForInsideTeamIsCounted) {
     // A big parallel_for reached from inside the persistent region
     // silently serializes — the counter must record it (the seam the
     // drivers' Team::loop conversions must never fall through).
-    Team::drive(true, [&](Team& team) {
+    Team::drive([&](Team& team) {
       team.loop(0, 1, 1, [&](std::size_t) {
         parallel_for(0, 4 * kParallelGrain, [](std::size_t) {});
       });

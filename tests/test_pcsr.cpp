@@ -350,11 +350,11 @@ TEST(PcsrCompressed, EstClusterBitIdenticalAtOneAndFourThreads) {
       // Pin the forced seams so both the parallel relax rounds and the
       // pull direction run the compressed decode, not just the
       // sequential fast path.
-      for (EstClusterWorkspace* w : {&wf, &wc}) w->force_parallel_rounds(true);
+      for (EstClusterWorkspace* w : {&wf, &wc}) w->policy().parallel_rounds = true;
       Clustering a = est_cluster(flat, 0.4, 7, wf);
       Clustering b = est_cluster(comp, 0.4, 7, wc);
-      EXPECT_EQ(wf.compressed_rounds(), 0u);
-      EXPECT_GT(wc.compressed_rounds(), 0u);
+      EXPECT_EQ(wf.stats().compressed_rounds, 0u);
+      EXPECT_GT(wc.stats().compressed_rounds, 0u);
       return std::pair(std::move(a), std::move(b));
     });
     EXPECT_EQ(c_flat.cluster_of, c_comp.cluster_of) << threads << " threads";
@@ -369,13 +369,13 @@ TEST(PcsrCompressed, ForcedPullDecodesCompressedChunks) {
   EstClusterWorkspace wf;
   EstClusterWorkspace wc;
   for (EstClusterWorkspace* w : {&wf, &wc}) {
-    w->force_parallel_rounds(true);
-    w->force_pull(true);
+    w->policy().parallel_rounds = true;
+    w->policy().direction = RoundPolicy::Direction::kPull;
   }
   const Clustering a = est_cluster(flat, 0.4, 7, wf);
   const Clustering b = est_cluster(comp, 0.4, 7, wc);
   EXPECT_GT(wc.pull_rounds(), 0u);
-  EXPECT_GT(wc.compressed_rounds(), 0u);
+  EXPECT_GT(wc.stats().compressed_rounds, 0u);
   EXPECT_EQ(a.cluster_of, b.cluster_of);
   EXPECT_EQ(a.dist_to_center, b.dist_to_center);
 }
@@ -387,14 +387,14 @@ TEST(PcsrCompressed, SsspDriversBitIdenticalAtOneAndFourThreads) {
     at_threads(threads, [&]() -> int {
       SsspWorkspace wf;
       SsspWorkspace wc;
-      for (SsspWorkspace* w : {&wf, &wc}) w->force_parallel_rounds(true);
+      for (SsspWorkspace* w : {&wf, &wc}) w->policy().parallel_rounds = true;
 
       const BfsResult b1 = bfs(flat, 0, kUnreachedHops, wf);
       const BfsResult b2 = bfs(comp, 0, kUnreachedHops, wc);
       EXPECT_EQ(b1.dist, b2.dist);
       EXPECT_EQ(b1.parent, b2.parent);
-      EXPECT_EQ(wf.compressed_rounds(), 0u);
-      EXPECT_GT(wc.compressed_rounds(), 0u);
+      EXPECT_EQ(wf.stats().compressed_rounds, 0u);
+      EXPECT_GT(wc.stats().compressed_rounds, 0u);
 
       const DeltaSteppingResult d1 = delta_stepping(flat, 0, 4.0, wf);
       const DeltaSteppingResult d2 = delta_stepping(comp, 0, 4.0, wc);
@@ -418,7 +418,7 @@ TEST(PcsrCompressed, CompressedFileDrivesAlgorithmsDirectly) {
   const Clustering a = est_cluster(g, 0.4, 9);
   const Clustering b = est_cluster(loaded, 0.4, 9, ws);
   EXPECT_EQ(a.cluster_of, b.cluster_of);
-  EXPECT_GT(ws.compressed_rounds(), 0u);
+  EXPECT_GT(ws.stats().compressed_rounds, 0u);
   std::remove(path.c_str());
 }
 

@@ -253,12 +253,12 @@ TEST(DeltaStepping, PackedRoundsMatchThreePhaseBitExactly) {
       ensure_connected(make_random_graph(400, 1600, 9)), 4096, 8192, 21);
   SsspWorkspace packed_ws;
   SsspWorkspace forced_ws;
-  forced_ws.force_three_phase(true);
+  forced_ws.policy().three_phase = true;
   const auto a = delta_stepping(g, 0, 1.0, packed_ws);
   const auto b = delta_stepping(g, 0, 1.0, forced_ws);
-  EXPECT_GT(packed_ws.packed_rounds(), 0u);
-  EXPECT_EQ(forced_ws.packed_rounds(), 0u);
-  EXPECT_GT(forced_ws.fallback_rounds(), 0u);
+  EXPECT_GT(packed_ws.stats().packed_rounds, 0u);
+  EXPECT_EQ(forced_ws.stats().packed_rounds, 0u);
+  EXPECT_GT(forced_ws.stats().fallback_rounds, 0u);
   EXPECT_EQ(a.dist, b.dist);
   EXPECT_EQ(a.parent, b.parent);
   EXPECT_EQ(a.phases, b.phases);

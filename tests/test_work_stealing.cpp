@@ -4,17 +4,18 @@
 // edge work into stolen ranges so hub vertices are relaxed by many
 // workers. Its contract: scheduling never changes WHICH per-edge calls
 // happen, so every driver built on the order-independent CRCW min-reduces
-// is bit-identical across (a) the stolen edge-grain path vs the
-// whole-vertex path (force_vertex_grain test hook), and (b) 1 vs many
-// threads. These tests pin that on the skew inputs the mechanism exists
-// for — star / hub-and-spoke graphs and heavy-tailed RMATs — plus the
-// oracle equivalence and the warm high-water reuse of the relaxer's
-// prefix scratch.
+// is bit-identical across (a) 1 thread (the inline Team) vs 4 (the
+// persistent team), and (b) the adaptive sequential fast path vs every
+// round as stolen edge ranges (RoundPolicy::parallel_rounds). These tests
+// pin that on the skew inputs the mechanism exists for — star /
+// hub-and-spoke graphs and heavy-tailed RMATs — plus the oracle
+// equivalence and the warm high-water reuse of the relaxer's prefix
+// scratch.
 //
-// Workspaces asserting edge_grain_rounds() pin force_push: the skew zoo's
-// dense rounds trip the direction heuristic organically, and a pull round
-// is counted as neither edge- nor vertex-grain. Push-vs-pull equivalence
-// has its own suite (test_direction_optimizing.cpp).
+// Workspaces asserting edge_grain_rounds pin the push direction: the skew
+// zoo's dense rounds trip the direction heuristic organically, and a pull
+// round is not an edge-grain round. Push-vs-pull equivalence has its own
+// suite (test_direction_optimizing.cpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -74,10 +75,10 @@ TEST_P(WorkStealing, EstClusterStolenPathMatchesOracle) {
   for (const auto& [name, g] : skewed_graphs(GetParam())) {
     SCOPED_TRACE(name);
     EstClusterWorkspace ws;
-    ws.force_push(true);
+    ws.policy().direction = RoundPolicy::Direction::kPush;
     const Clustering engine = est_cluster(g, 0.5, GetParam(), ws);
     // The skew actually exercised the stolen path.
-    EXPECT_GT(ws.edge_grain_rounds(), 0u) << name;
+    EXPECT_GT(ws.stats().edge_grain_rounds, 0u) << name;
     const Clustering oracle = est_cluster_reference(g, 0.5, GetParam());
     // parent is not compared: equal-key ties (two equal-length tree paths
     // from the same center) are broken differently by the oracle's
@@ -90,29 +91,39 @@ TEST_P(WorkStealing, EstClusterStolenPathMatchesOracle) {
   }
 }
 
-TEST_P(WorkStealing, EstClusterEdgeGrainVsVertexGrainAcrossThreads) {
+/// A push-pinned policy, optionally with every round as stolen edge
+/// ranges (no sequential fast path).
+RoundPolicy push_policy(bool parallel_rounds) {
+  RoundPolicy p;
+  p.parallel_rounds = parallel_rounds;
+  p.direction = RoundPolicy::Direction::kPush;
+  return p;
+}
+
+TEST_P(WorkStealing, EstClusterStolenPathAcrossThreads) {
   for (const auto& [name, g] : skewed_graphs(GetParam())) {
     SCOPED_TRACE(name);
-    // Baseline: the pre-work-stealing whole-vertex scheduling, 1 thread.
-    EstClusterWorkspace vertex_ws;
-    vertex_ws.force_vertex_grain(true);
+    // Baseline: the 1-thread run, every stage inline on the driver.
+    EstClusterWorkspace base_ws;
+    base_ws.policy() = push_policy(false);
     const Clustering baseline =
-        at_threads(1, [&] { return est_cluster(g, 0.5, GetParam(), vertex_ws); });
-    EXPECT_EQ(vertex_ws.edge_grain_rounds(), 0u);
-    EXPECT_GT(vertex_ws.vertex_grain_rounds(), 0u);
+        at_threads(1, [&] { return est_cluster(g, 0.5, GetParam(), base_ws); });
+    EXPECT_GT(base_ws.stats().edge_grain_rounds, 0u);
+    EstClusterWorkspace ws;
+    ws.policy() = push_policy(false);
+    expect_same_clustering(
+        at_threads(4, [&] { return est_cluster(g, 0.5, GetParam(), ws); }), baseline);
+    EXPECT_TRUE(ws.stats() == base_ws.stats());
+    // Every round as stolen ranges, small rounds included.
     for (int threads : {1, 4}) {
-      EstClusterWorkspace ws;
-      ws.force_push(true);
-      const Clustering stolen =
-          at_threads(threads, [&] { return est_cluster(g, 0.5, GetParam(), ws); });
-      EXPECT_GT(ws.edge_grain_rounds(), 0u) << name << " @" << threads;
-      expect_same_clustering(stolen, baseline);
-      // And vertex-grain at many threads agrees too.
-      EstClusterWorkspace ws4;
-      ws4.force_vertex_grain(true);
-      const Clustering vertex4 =
-          at_threads(threads, [&] { return est_cluster(g, 0.5, GetParam(), ws4); });
-      expect_same_clustering(vertex4, baseline);
+      EstClusterWorkspace par_ws;
+      par_ws.policy() = push_policy(true);
+      expect_same_clustering(
+          at_threads(threads, [&] { return est_cluster(g, 0.5, GetParam(), par_ws); }),
+          baseline);
+      EXPECT_EQ(par_ws.sequential_rounds(), 0u);
+      EXPECT_GT(par_ws.stats().edge_grain_rounds, base_ws.stats().edge_grain_rounds)
+          << name << " @" << threads;
     }
   }
 }
@@ -122,17 +133,20 @@ TEST_P(WorkStealing, DeltaSteppingStolenPathAcrossThreads) {
     SCOPED_TRACE(name);
     const Graph g = with_uniform_weights(base, 1, 9, GetParam() + 17);
     for (const weight_t delta : {0.0, 4.0}) {
-      SsspWorkspace vertex_ws;
-      vertex_ws.force_vertex_grain(true);
+      SsspWorkspace base_ws;
+      base_ws.policy() = push_policy(false);
       const auto baseline =
-          at_threads(1, [&] { return delta_stepping(g, 0, delta, vertex_ws); });
-      EXPECT_EQ(vertex_ws.edge_grain_rounds(), 0u);
-      for (int threads : {1, 4}) {
+          at_threads(1, [&] { return delta_stepping(g, 0, delta, base_ws); });
+      EXPECT_GT(base_ws.stats().edge_grain_rounds, 0u);
+      for (const bool parallel_rounds : {false, true}) {
         SsspWorkspace ws;
-        ws.force_push(true);
+        ws.policy() = push_policy(parallel_rounds);
         const auto stolen =
-            at_threads(threads, [&] { return delta_stepping(g, 0, delta, ws); });
-        EXPECT_GT(ws.edge_grain_rounds(), 0u) << name << " @" << threads;
+            at_threads(4, [&] { return delta_stepping(g, 0, delta, ws); });
+        EXPECT_GT(ws.stats().edge_grain_rounds, 0u) << name;
+        if (!parallel_rounds) {
+          EXPECT_TRUE(ws.stats() == base_ws.stats());
+        }
         EXPECT_EQ(stolen.dist, baseline.dist);
         EXPECT_EQ(stolen.parent, baseline.parent);
         EXPECT_EQ(stolen.phases, baseline.phases);
@@ -148,16 +162,20 @@ TEST_P(WorkStealing, BfsDistancesStolenPathAcrossThreads) {
   // whole tree must survive the stolen path and any thread count.
   for (const auto& [name, g] : skewed_graphs(GetParam())) {
     SCOPED_TRACE(name);
-    SsspWorkspace vertex_ws;
-    vertex_ws.force_vertex_grain(true);
+    SsspWorkspace base_ws;
+    base_ws.policy() = push_policy(false);
     const BfsResult baseline =
-        at_threads(1, [&] { return bfs(g, 0, kNoVertex, vertex_ws); });
-    for (int threads : {1, 4}) {
+        at_threads(1, [&] { return bfs(g, 0, kNoVertex, base_ws); });
+    EXPECT_GT(base_ws.stats().edge_grain_rounds, 0u);
+    for (const bool parallel_rounds : {false, true}) {
       SsspWorkspace ws;
-      ws.force_push(true);
+      ws.policy() = push_policy(parallel_rounds);
       const BfsResult stolen =
-          at_threads(threads, [&] { return bfs(g, 0, kNoVertex, ws); });
-      EXPECT_GT(ws.edge_grain_rounds(), 0u) << name << " @" << threads;
+          at_threads(4, [&] { return bfs(g, 0, kNoVertex, ws); });
+      EXPECT_GT(ws.stats().edge_grain_rounds, 0u) << name;
+      if (!parallel_rounds) {
+        EXPECT_TRUE(ws.stats() == base_ws.stats());
+      }
       EXPECT_EQ(stolen.dist, baseline.dist);
       EXPECT_EQ(stolen.parent, baseline.parent);
       EXPECT_EQ(stolen.rounds, baseline.rounds);
@@ -182,9 +200,9 @@ TEST(WorkStealingWarm, HubHeavyRmatReusesRelaxScratch) {
   const Graph g = ensure_connected(make_rmat_heavy(60000, 360000, 7));
   at_threads(1, [&] {
     EstClusterWorkspace ws;
-    ws.force_push(true);
+    ws.policy().direction = RoundPolicy::Direction::kPush;
     est_cluster(g, 0.4, 7, ws);  // cold: grows engine + relaxer scratch
-    EXPECT_GT(ws.edge_grain_rounds(), 0u);
+    EXPECT_GT(ws.stats().edge_grain_rounds, 0u);
     const std::uint64_t engine_high = ws.engine_alloc_events();
     const std::uint64_t relax_high = ws.relax_alloc_events();
     EXPECT_GT(relax_high, 0u);
@@ -200,9 +218,9 @@ TEST(WorkStealingWarm, DeltaSteppingHubHeavyRmatReusesWorkspace) {
       ensure_connected(make_rmat_heavy(60000, 360000, 11)), 1, 9, 13);
   at_threads(1, [&] {
     SsspWorkspace ws;
-    ws.force_push(true);
+    ws.policy().direction = RoundPolicy::Direction::kPush;
     delta_stepping(g, 0, 4.0, ws);  // cold
-    EXPECT_GT(ws.edge_grain_rounds(), 0u);
+    EXPECT_GT(ws.stats().edge_grain_rounds, 0u);
     const std::uint64_t high = ws.alloc_events();
     delta_stepping(g, 0, 4.0, ws);  // warm: zero workspace allocations
     EXPECT_EQ(ws.alloc_events(), high);

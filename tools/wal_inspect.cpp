@@ -11,10 +11,11 @@
 // Per segment it prints the record count, per-record (epoch, client,
 // sequence, delta sizes) lines under --verbose, and the tail verdict —
 // "clean" or the torn-tail reason and how many bytes recovery would
-// truncate. Per manifest: the checkpoint epoch, WAL position, and each
-// client's applied-sequence high-water mark. --verify makes any torn
-// tail, checksum mismatch, or undecodable manifest a nonzero exit so a
-// cron job can watch a serving directory's health.
+// truncate, or CORRUPT for a checksummed record that does not decode.
+// Per manifest: the checkpoint epoch, WAL position, and each client's
+// applied-sequence high-water mark. --verify makes any torn tail,
+// corrupt record, checksum mismatch, or undecodable manifest a nonzero
+// exit so a cron job can watch a serving directory's health.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -39,7 +40,9 @@ void print_segment(const std::string& path, bool verbose) {
   WalScan scan;
   const Status s = scan_wal_segment(path, &scan);
   std::printf("%s\n", path.c_str());
-  if (!s.ok()) {
+  // kInternal is a checksummed record that does not decode: the scan
+  // still reports the valid prefix before it.
+  if (!s.ok() && s.code != StatusCode::kInternal) {
     std::printf("  INVALID: %s\n", s.message.c_str());
     ++g_problems;
     return;
@@ -50,7 +53,11 @@ void print_segment(const std::string& path, bool verbose) {
   std::printf("  bytes        %llu valid / %llu total\n",
               static_cast<unsigned long long>(scan.valid_bytes),
               static_cast<unsigned long long>(scan.file_bytes));
-  if (scan.torn) {
+  if (!s.ok()) {
+    std::printf("  record       CORRUPT (%s): recovery refuses the segment\n",
+                s.message.c_str());
+    ++g_problems;
+  } else if (scan.torn) {
     std::printf("  tail         TORN (%s): %llu bytes to truncate\n",
                 scan.torn_reason.c_str(),
                 static_cast<unsigned long long>(scan.file_bytes - scan.valid_bytes));
@@ -221,6 +228,32 @@ int selftest() {
   if (g_problems != 1) {
     std::fprintf(stderr, "selftest: corrupt manifest not detected\n");
     return 1;
+  }
+
+  // A checksummed record that does not decode (a weight-0 insert) is a
+  // corrupt record, not a torn tail.
+  {
+    const std::string bad_dir = dir + "/corrupt";
+    std::filesystem::create_directories(bad_dir);
+    WalRecord rec;
+    rec.epoch = 1;
+    rec.delta.insert.push_back({0, 1, 0.0});
+    WalWriter w;
+    if (!w.open(bad_dir, 1, WalOptions{FsyncPolicy::kOff, 8}).ok() ||
+        !w.append(rec).ok()) {
+      std::fprintf(stderr, "selftest: could not write the corrupt record\n");
+      return 1;
+    }
+    w.close();
+    const std::string seg = bad_dir + "/" + wal_segment_name(1);
+    WalScan scan;
+    g_problems = 0;
+    print_segment(seg, /*verbose=*/false);
+    if (g_problems != 1 ||
+        scan_wal_segment(seg, &scan).code != StatusCode::kInternal) {
+      std::fprintf(stderr, "selftest: corrupt record not reported as corrupt\n");
+      return 1;
+    }
   }
 
   d.reset();
